@@ -1,11 +1,10 @@
 //! Criterion benches of the design-space exploration engine: enumeration
 //! and full ranked searches at two system sizes.
 //!
-//! `search/rank_all_16x8` exercises the default engine (memoized
-//! estimation, worker pool sized to the host); `search/rank_all_16x8_serial`
-//! pins the original single-thread, uncached path so the speedup of the
-//! optimised path stays measurable — `cargo bin bench_search` records the
-//! same comparison into `BENCH_search.json`.
+//! `search/rank_all_16x8` exercises the default engine (batched kernel,
+//! worker pool sized to the host); `search/rank_all_16x8_pruned` adds
+//! branch-and-bound pruning. The repository benchmark (`bench_layers`,
+//! workload `search-train`) measures the same path end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -38,13 +37,6 @@ fn bench_full_search(c: &mut Criterion) {
         SearchEngine::new(&model, &a100, &system).with_efficiency(efficiency::case_study());
     c.bench_function("search/rank_all_16x8", |b| {
         b.iter(|| black_box(engine.search(black_box(&training)).expect("searches")).len())
-    });
-    let serial = engine
-        .clone()
-        .with_memoization(false)
-        .with_parallelism(1);
-    c.bench_function("search/rank_all_16x8_serial", |b| {
-        b.iter(|| black_box(serial.search(black_box(&training)).expect("searches")).len())
     });
     let pruned = engine.clone().with_pruning(true);
     c.bench_function("search/rank_all_16x8_pruned", |b| {

@@ -43,7 +43,7 @@ fn search_bench_smoke_run_passes() {
         &[
             "search/enumerate_128x8",
             "search/rank_all_16x8",
-            "search/rank_all_16x8_serial",
+            "search/rank_all_16x8_pruned",
         ],
     );
 }

@@ -10,7 +10,7 @@ use amped_configs::pipeline::{FlagReader, FlagSet, Resolution, ScenarioDraft, So
 use amped_configs::registry;
 use amped_configs::scenario::{FailureDomainsSection, ResilienceSection, ResolvedScenario};
 use amped_core::{
-    AnalyticalBackend, CorrelatedReport, CorrelatedResilience, CostBackend, Error, Estimator,
+    AnalyticalBackend, CorrelatedReport, CorrelatedResilience, CostBackend, Error,
     ObservedBackend, Parallelism, ResilienceReport, Result, DEFAULT_NODE_MTBF_HOURS,
 };
 use amped_infer::{AnalyticalInferBackend, InferBackend, ObservedInferBackend};
@@ -92,9 +92,6 @@ parameters):
                               through the simulator             [default 0]
   --memory-filter             search only: drop candidates whose footprint
                               does not fit device memory
-  --no-batch                  search only: evaluate candidates one at a time
-                              instead of through the batched fast path
-                              (results are bit-identical either way)
 
 observability flags (estimate/sweep/search/simulate/resilience):
   --metrics-out FILE          write a JSON run report: per-phase timings,
@@ -618,9 +615,8 @@ fn resilience(args: &Args) -> Result<String> {
                 plan = plan.with_preemption(hours * 3600.0);
             }
         }
-        let mut cfg = SimConfig::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-            .with_precision(s.precision)
-            .with_efficiency(s.efficiency.clone());
+        let scenario = s.to_scenario();
+        let mut cfg = SimConfig::from_scenario(&scenario);
         if let Some(o) = obs.observer() {
             cfg = cfg.with_observer(o);
         }
@@ -766,7 +762,6 @@ fn search_train(args: &Args) -> Result<String> {
         .with_enumeration(EnumerationOptions::default())
         .with_parallelism(args.parse_or("jobs", 0)?)
         .with_pruning(args.switch("prune"))
-        .with_batching(!args.switch("no-batch"))
         .with_memory_filter(args.switch("memory-filter"))
         .with_refine_sim(args.parse_or("refine-sim", 0)?);
     if let Some(o) = obs.observer() {
@@ -838,9 +833,8 @@ fn simulate(args: &Args) -> Result<String> {
     }
     let s = &r.scenario;
     let obs = ObsSession::from_args(args);
-    let mut cfg = SimConfig::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone());
+    let scenario = s.to_scenario();
+    let mut cfg = SimConfig::from_scenario(&scenario);
     if let Some(o) = obs.observer() {
         cfg = cfg.with_observer(o);
     }
@@ -924,10 +918,7 @@ fn detail(args: &Args) -> Result<String> {
         return dump;
     }
     let s = &r.scenario;
-    let detailed = Estimator::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .estimate_detailed(&s.training)?;
+    let detailed = s.to_scenario().estimator().estimate_detailed(&s.training)?;
     let mut out = format!("{detailed}
 
 hottest layers:
@@ -1068,10 +1059,8 @@ fn trace(args: &Args) -> Result<String> {
         return dump;
     }
     let s = &r.scenario;
-    let result = SimConfig::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .simulate_iteration(s.training.global_batch())?;
+    let result =
+        SimConfig::from_scenario(&s.to_scenario()).simulate_iteration(s.training.global_batch())?;
     Ok(amped_sim::trace::to_chrome_trace(&result.timeline))
 }
 
@@ -1082,10 +1071,7 @@ fn energy(args: &Args) -> Result<String> {
         return dump;
     }
     let s = &r.scenario;
-    let estimate = Estimator::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .estimate(&s.training)?;
+    let estimate = s.to_scenario().estimator().estimate(&s.training)?;
     let power = PowerModel::from_accelerator(&s.accelerator);
     let energy =
         EnergyEstimate::from_estimate(&estimate, &power, s.training.num_batches());
@@ -1111,10 +1097,8 @@ fn sensitivity(args: &Args) -> Result<String> {
     }
     let s = &r.scenario;
     let factor: f64 = args.parse_or("factor", 2.0)?;
-    let analysis = SensitivityAnalysis::new(&s.model, &s.accelerator, &s.system, &s.parallelism)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone());
-    let tornado = analysis.tornado(factor, &s.training)?;
+    let scenario = s.to_scenario();
+    let tornado = SensitivityAnalysis::from_scenario(&scenario).tornado(factor, &s.training)?;
     let mut t = Table::new(["knob", &format!("{factor}x better"), "speedup"]);
     for r in &tornado {
         t.row([
@@ -1223,8 +1207,8 @@ fn memory(args: &Args) -> Result<String> {
         return dump;
     }
     let s = &r.scenario;
-    let mem = MemoryModel::new(&s.model, &s.parallelism)
-        .with_precision(s.precision)
+    let scenario = s.to_scenario();
+    let mem = MemoryModel::from_scenario(&scenario)
         .with_optimizer(OptimizerSpec::adam_mixed_precision());
     let ub = s.parallelism.microbatch_size(s.training.global_batch());
     let n_ub = s.parallelism.num_microbatches(s.training.global_batch());
@@ -1338,6 +1322,43 @@ mod tests {
         assert!(v["memory_rejected"]["total"].as_u64().is_some(), "{json}");
     }
 
+    const RECOMPUTE_FIXTURE: &str =
+        "--model mingpt-85m --accel v100 --per-node 8 --pp 2 --dp 4 --batch 64";
+
+    #[test]
+    fn detail_total_matches_estimate_under_recompute() {
+        // The estimate's own breakdown lines, which `detail` prints after
+        // its per-layer rows.
+        let totals = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.starts_with("total ") || l.starts_with("iteration:"))
+                .map(String::from)
+                .collect()
+        };
+        let flags = format!("{RECOMPUTE_FIXTURE} --recompute");
+        let estimate = run(&format!("estimate {flags}")).unwrap();
+        let detail = run(&format!("detail {flags}")).unwrap();
+        assert_eq!(totals(&estimate).len(), 2, "{estimate}");
+        assert_eq!(totals(&estimate), totals(&detail), "{estimate}\nvs\n{detail}");
+        let plain = run(&format!("detail {RECOMPUTE_FIXTURE}")).unwrap();
+        assert_ne!(totals(&plain), totals(&detail), "--recompute must reach detail");
+    }
+
+    #[test]
+    fn simulate_and_memory_honor_recompute() {
+        for command in ["simulate", "memory"] {
+            let plain = run(&format!("{command} {RECOMPUTE_FIXTURE}")).unwrap();
+            let recompute = run(&format!("{command} {RECOMPUTE_FIXTURE} --recompute")).unwrap();
+            // The first line carries the simulated time / the footprint
+            // with its activation term.
+            assert_ne!(
+                plain.lines().next(),
+                recompute.lines().next(),
+                "{command}: --recompute was ignored\n{plain}"
+            );
+        }
+    }
+
     #[test]
     fn search_memory_filter_keeps_only_feasible_mappings() {
         let out = run(
@@ -1346,16 +1367,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("yes"), "{out}");
         assert!(!out.contains("NO"), "filtered search must not list misfits: {out}");
-    }
-
-    #[test]
-    fn search_no_batch_is_byte_identical_to_the_batched_default() {
-        let base = "search --model mingpt-85m --accel v100 --nodes 2 --per-node 4 --batch 64 --top 5 --memory-filter --json";
-        let batched = run(base).unwrap();
-        let scalar = run(&format!("{base} --no-batch")).unwrap();
-        assert_eq!(batched, scalar);
-        let v: serde_json::Value = serde_json::from_str(&batched).unwrap();
-        assert!(v["memory_rejected"]["total"].as_u64().is_some(), "{batched}");
     }
 
     #[test]

@@ -17,14 +17,24 @@
 mod args;
 mod commands;
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let parsed = args::Args::parse(std::env::args().skip(1));
     match commands::dispatch(&parsed) {
         Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
+            let mut stdout = std::io::stdout().lock();
+            match writeln!(stdout, "{output}").and_then(|()| stdout.flush()) {
+                Ok(()) => ExitCode::SUCCESS,
+                // A reader that stops early (`amped … | head -1`) closed the
+                // pipe on purpose: nothing is left to report.
+                Err(e) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: writing output: {e}");
+                    ExitCode::FAILURE
+                }
+            }
         }
         Err(error) => {
             eprintln!("error: {error}");

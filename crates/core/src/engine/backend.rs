@@ -20,7 +20,7 @@ use amped_obs::Observer;
 
 use crate::accelerator::AcceleratorSpec;
 use crate::efficiency::EfficiencyModel;
-use crate::engine::{EngineOptions, Estimate, EstimateCache, Estimator};
+use crate::engine::{BatchEvaluator, EngineOptions, Estimate, EstimateCache, Estimator};
 use crate::error::Result;
 use crate::model::TransformerModel;
 use crate::network::SystemSpec;
@@ -204,10 +204,10 @@ pub trait CostBackend: Sync {
 
 /// The AMPeD analytical model (Eq. 1–12) as a [`CostBackend`].
 ///
-/// Evaluates through [`Estimator::estimate_cached`] with a private cache,
-/// which is bit-identical to evaluating with any warmed cache for the same
-/// scenario — so trait-based results match `amped-search`'s memoized
-/// per-worker path exactly.
+/// Evaluates through the pricing kernel ([`BatchEvaluator`]) with a
+/// private cache, which is bit-identical to evaluating with any warmed
+/// cache for the same scenario — so trait-based results match
+/// `amped-search`'s per-worker path exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticalBackend;
 
@@ -224,11 +224,18 @@ impl AnalyticalBackend {
         scenario: &Scenario,
         training: &TrainingConfig,
     ) -> Result<Estimate> {
-        scenario.estimator().estimate_cached(cache, training)
+        self.evaluate_many_with_cache(
+            cache,
+            scenario,
+            std::slice::from_ref(&scenario.parallelism),
+            training,
+        )
+        .pop()
+        .expect("one result per mapping")
     }
 
     /// Batch-evaluate many candidates against a caller-owned cache through
-    /// [`BatchEvaluator`](crate::BatchEvaluator) — bit-identical to calling
+    /// [`BatchEvaluator`] — bit-identical to calling
     /// [`evaluate_with_cache`](Self::evaluate_with_cache) per candidate
     /// with the same cache, and fills the cache with the same entries.
     pub fn evaluate_many_with_cache(
@@ -238,9 +245,7 @@ impl AnalyticalBackend {
         mappings: &[Parallelism],
         training: &TrainingConfig,
     ) -> Vec<Result<Estimate>> {
-        crate::engine::BatchEvaluator::from_scenario(scenario).estimate_many(
-            cache, mappings, training,
-        )
+        BatchEvaluator::from_scenario(scenario).estimate_many(cache, mappings, training)
     }
 }
 

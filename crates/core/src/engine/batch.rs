@@ -1,65 +1,88 @@
-//! Batched, vectorized cost evaluation: many parallelism candidates priced
-//! in one pass, bit-identical to [`Estimator::estimate_cached`].
+//! The pricing kernel: Eq. 1–12 of the paper, evaluated for many
+//! parallelism candidates in one pass.
 //!
-//! [`BatchEvaluator::estimate_many`] is the scalar memoized path unrolled
-//! across candidates:
+//! [`BatchEvaluator`] is the only implementation of the cost model; every
+//! other entry point is a view over it:
 //!
-//! - **Invariant hoisting** — everything that does not depend on the
-//!   candidate (layer-kind groups, per-kind operation counts at the global
-//!   batch, precision scales, the left-associated constant products of the
-//!   per-kind compute terms, the model-FLOP count) is computed once per
-//!   batch instead of once per candidate.
-//! - **Struct-of-arrays compute loops** — the per-layer-kind compute
-//!   arithmetic runs kind-outer/candidate-inner over flat `Vec<f64>`
-//!   buffers, so the inner loop is straight-line arithmetic the compiler
-//!   can auto-vectorize.
-//! - **Communication term reuse** — every communication term depends on
-//!   the mapping's degrees and the replica batch, never on the microbatch
-//!   policy, so consecutive microbatch variants of one mapping share a
-//!   single evaluation of the communication block.
+//! - [`Estimator::estimate_cached`](crate::Estimator::estimate_cached) is a
+//!   batch of one, and [`Estimator::estimate`](crate::Estimator::estimate)
+//!   is that batch of one against a fresh [`EstimateCache`];
+//! - [`Estimator::estimate_detailed`](crate::Estimator::estimate_detailed)
+//!   is one kernel call plus per-layer rows built from the same per-kind
+//!   terms the kernel sums;
+//! - the branch-and-bound lower bound ([`Prepared::lower_bound`]) reuses
+//!   the kernel's hoisted compute terms and its TP communication function.
 //!
-//! **Bit-identity contract**: every float operation happens with the same
-//! values, the same association and the same order per candidate as in
-//! `estimate_cached` — hoisting only moves *where* a product is computed,
-//! never *how* — and all memoized sub-results go through the same
-//! [`EstimateCache`] helpers, so a batch call fills the cache with exactly
-//! the entries the scalar loop would. Differential tests pin
-//! `estimate_many` against the scalar loop bitwise, cold and warm.
+//! A pass is organised for throughput. Everything that does not depend on
+//! the candidate (layer-kind groups, per-kind operation counts at the
+//! global batch, precision scales, the left-associated constant products
+//! of the per-kind compute terms) is hoisted once per pass
+//! ([`BatchEvaluator::prepare`]). Communication depends on the mapping's
+//! degrees and replica batch, never on the microbatch policy, so
+//! consecutive microbatch variants of one mapping share one evaluation of
+//! it. Layers of one kind are priced once and weighted by their
+//! multiplicity, so every sum runs over the distinct layer kinds in
+//! first-occurrence order.
+//!
+//! Each candidate sees the same values, association and order whether it
+//! is priced alone or inside any batch, against a cold or a warm cache, so
+//! its result is the same bits either way.
 
 use amped_topo::Collective;
 
 use crate::accelerator::AcceleratorSpec;
 use crate::efficiency::EfficiencyModel;
-use crate::engine::cached::{grad_sync_volume, stage_imbalance_ratio};
 use crate::engine::{
-    Breakdown, EngineOptions, Estimate, EstimateCache, Scenario,
+    Breakdown, BubbleAccounting, DetailedEstimate, EngineOptions, Estimate, EstimateCache,
+    LayerEstimate, Scenario,
 };
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::metrics;
-use crate::model::TransformerModel;
+use crate::model::{LayerKind, TransformerModel};
 use crate::network::SystemSpec;
 use crate::parallelism::{MicrobatchPolicy, Parallelism, ZeroStage};
 use crate::precision::Precision;
 use crate::training::TrainingConfig;
 use crate::units::Seconds;
 
-/// The communication components of one candidate's breakdown, all invariant
-/// across the candidate's microbatch variants.
+/// The bandwidth of one inter-node stream fed by a whole intra-node TP
+/// group: hierarchical collectives drive the node's NICs in parallel, so
+/// `tp_intra` per-accelerator shares aggregate, capped at the node's full
+/// NIC bandwidth.
+fn tp_stream_bandwidth(system: &SystemSpec, p: &Parallelism) -> f64 {
+    let nic_aggregate = system.inter().bandwidth_bits_per_sec * system.nics_per_node() as f64;
+    (system.inter_bandwidth_per_accel() * p.tp_intra() as f64).min(nic_aggregate)
+}
+
+/// `(comm_passes, stage_share)`: forward plus backward communication passes
+/// (inflated by ZeRO's overhead) and the `1/N_PP` share of the summed
+/// per-layer traffic on the critical path — layers are spread over the
+/// pipeline stages and their collectives run concurrently (DESIGN.md
+/// interpretation note 7).
+fn comm_scaling(options: EngineOptions, p: &Parallelism) -> (f64, f64) {
+    let zero_factor = 1.0 + p.zero().comm_overhead;
+    (
+        zero_factor * (1.0 + options.backward_comm_factor),
+        1.0 / p.pp() as f64,
+    )
+}
+
+/// Eq. 6 (TP all-reduce, intra- and inter-node) and Eq. 9 (MoE all-to-all)
+/// for one layer: the raw collective times before the pass and stage-share
+/// scaling, zero where the collective does not run.
 #[derive(Debug, Clone, Copy, Default)]
-struct CommTerms {
-    tp_comm_intra: f64,
-    tp_comm_inter: f64,
-    moe_comm: f64,
-    pp_comm: f64,
-    dp_comm_intra: f64,
-    dp_comm_inter: f64,
-    fwd_comm_for_bubble: f64,
+struct LayerComm {
+    tp_intra: f64,
+    tp_inter: f64,
+    moe: f64,
 }
 
 /// The candidate-invariant slice of one layer kind's compute terms: the
-/// constant left factors of `estimate_cached`'s `u_f`/`u_b`/`u_w` products,
-/// precomputed once per batch with the scalar path's own association.
+/// constant left factors of `u_f`/`u_b`/`u_w`, each a prefix of the
+/// left-associated product [`Prepared::layer_compute`] completes.
+#[derive(Debug)]
 struct KindTerms {
+    kind: LayerKind,
     macs_fwd: f64,
     bwd_macs: f64,
     nl_f: f64,
@@ -100,17 +123,11 @@ struct KindTerms {
 ///     .with_efficiency(EfficiencyModel::Constant(0.5));
 /// let estimates = batch.estimate_many(&mut cache, &mappings, &training);
 ///
-/// // Bit-identical to the scalar loop over the same cache kind.
-/// let mut scalar_cache = EstimateCache::new();
-/// for (p, batched) in mappings.iter().zip(&estimates) {
-///     let scalar = Estimator::new(&model, &accel, &system, p)
-///         .with_efficiency(EfficiencyModel::Constant(0.5))
-///         .estimate_cached(&mut scalar_cache, &training)?;
-///     assert_eq!(
-///         scalar.total_time.get().to_bits(),
-///         batched.as_ref().unwrap().total_time.get().to_bits(),
-///     );
-/// }
+/// // A batch of many prices each candidate exactly as a batch of one.
+/// let alone = Estimator::new(&model, &accel, &system, &mappings[1])
+///     .with_efficiency(EfficiencyModel::Constant(0.5))
+///     .estimate(&training)?;
+/// assert_eq!(estimates[1].as_ref().ok(), Some(&alone));
 /// # Ok(())
 /// # }
 /// ```
@@ -173,56 +190,34 @@ impl<'a> BatchEvaluator<'a> {
         self
     }
 
-    /// Price every candidate mapping for `training`, returning one result
-    /// per input in order. Equivalent to calling
-    /// [`Estimator::estimate_cached`](crate::Estimator::estimate_cached)
-    /// per candidate against the same cache — bit-identical estimates,
-    /// same cache entries — at a fraction of the per-candidate cost.
+    /// Validate the shared inputs and hoist every candidate-invariant term
+    /// of a pass over `training`, for any number of
+    /// [`Prepared::estimate_many`] and [`Prepared::lower_bound`] calls.
     ///
-    /// Per-candidate errors (an invalid mapping for the system/model) land
-    /// in that candidate's slot; shared-input validation errors (bad
-    /// precision/efficiency/options) fill every slot.
-    pub fn estimate_many(
+    /// # Errors
+    ///
+    /// Returns the precision, efficiency or engine-option validation error,
+    /// in that order.
+    pub fn prepare(
         &self,
         cache: &mut EstimateCache,
-        mappings: &[Parallelism],
         training: &TrainingConfig,
-    ) -> Vec<Result<Estimate>> {
-        let n = mappings.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        // Shared-input validation, in the scalar path's order.
-        if let Err(e) = self
-            .precision
-            .validate()
-            .and_then(|()| self.efficiency.validate())
-            .and_then(|()| self.options.validate())
-        {
-            return mappings.iter().map(|_| Err(e.clone())).collect();
-        }
-
-        let (model, accel, system) = (self.model, self.accel, self.system);
-        let opts = self.options;
-        let global_batch = training.global_batch();
-
-        // ---- Batch-invariant hoisting. ----
+    ) -> Result<Prepared<'_>> {
+        self.precision.validate()?;
+        self.efficiency.validate()?;
+        self.options.validate()?;
+        let (model, accel, opts) = (self.model, self.accel, self.options);
         let c_nonlin = accel.c_nonlin();
-        let mac_scale = accel.mac_precision_scale(self.precision.mac_operand_bits());
-        let param_scale = accel.mac_precision_scale(self.precision.param_bits);
         let nonlin_scale = accel.nonlin_precision_scale(self.precision.nonlin_bits);
-        let bwd_c = opts.backward_compute_factor + if opts.activation_recompute { 1.0 } else { 0.0 };
-
+        let recompute = if opts.activation_recompute { 1.0 } else { 0.0 };
+        let bwd_c = opts.backward_compute_factor + recompute;
         let groups = cache.groups(model);
-        // Constant left factors of the per-kind compute terms. Each product
-        // below is a prefix of the scalar expression's left-associated
-        // chain, so completing it per candidate reproduces the scalar
-        // result bit-for-bit.
-        let kind_terms: Vec<KindTerms> = groups
+        let kinds = groups
             .iter()
             .map(|&(kind, count)| {
-                let cg = cache.layer_counts(model, kind, global_batch as f64);
+                let cg = cache.layer_counts(model, kind, training.global_batch() as f64);
                 KindTerms {
+                    kind,
                     macs_fwd: cg.macs_fwd,
                     bwd_macs: bwd_c * cg.macs_fwd,
                     nl_f: cg.nonlin_fwd * c_nonlin * nonlin_scale,
@@ -233,226 +228,347 @@ impl<'a> BatchEvaluator<'a> {
             })
             .collect();
         let stack_len: usize = groups.iter().map(|(_, n)| n).sum();
-        let compute_scale = match opts.bubble_accounting {
-            crate::engine::BubbleAccounting::GPipe => 1.0,
-            crate::engine::BubbleAccounting::PaperEq8 => 1.0 / stack_len as f64,
-        };
-        let model_flops = match cache.model_flops(global_batch, opts.activation_recompute) {
-            Some(v) => v,
-            None => {
-                let v = metrics::model_flops_per_iteration(
-                    model,
-                    global_batch,
-                    opts.activation_recompute,
-                );
-                cache.set_model_flops(global_batch, opts.activation_recompute, v);
-                v
-            }
-        };
+        Ok(Prepared {
+            eval: self,
+            training: *training,
+            groups,
+            kinds,
+            c_nonlin,
+            nonlin_scale,
+            mac_scale: accel.mac_precision_scale(self.precision.mac_operand_bits()),
+            param_scale: accel.mac_precision_scale(self.precision.param_bits),
+            compute_scale: match opts.bubble_accounting {
+                BubbleAccounting::GPipe => 1.0,
+                BubbleAccounting::PaperEq8 => 1.0 / stack_len as f64,
+            },
+        })
+    }
 
-        // ---- Per-candidate scalars (struct-of-arrays). ----
-        let mut errs: Vec<Option<Error>> = (0..n).map(|_| None).collect();
-        let mut workers = vec![1.0f64; n];
-        let mut n_ub = vec![1usize; n];
-        let mut ub = vec![0.0f64; n];
-        let mut eff = vec![0.0f64; n];
-        let mut replica_batch = vec![0.0f64; n];
-        let mut c_mac = vec![0.0f64; n];
-        let mut imbalance = vec![1.0f64; n];
-        for (j, p) in mappings.iter().enumerate() {
-            if let Err(e) = p.validate_against(system, model) {
-                errs[j] = Some(e);
-                continue;
-            }
-            workers[j] = p.total_workers() as f64;
-            n_ub[j] = p.num_microbatches(global_batch);
-            ub[j] = p.microbatch_size(global_batch);
-            eff[j] = self.efficiency.eval(ub[j]);
-            replica_batch[j] = p.replica_batch(global_batch);
-            c_mac[j] = accel.c_mac(eff[j]);
-            imbalance[j] = if opts.stage_imbalance_correction && p.pp() > 1 {
-                let r = stage_imbalance_ratio(
-                    cache,
-                    model,
-                    p.pp(),
-                    eff[j].to_bits(),
-                    c_mac[j],
-                    mac_scale,
-                    c_nonlin,
-                    nonlin_scale,
-                );
-                let (m, pf) = (n_ub[j] as f64, p.pp() as f64);
-                ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0)
+    /// Price every candidate mapping for `training`, returning one result
+    /// per input in order.
+    ///
+    /// Per-candidate errors (an invalid mapping for the system/model) land
+    /// in that candidate's slot; shared-input validation errors (bad
+    /// precision/efficiency/options) fill every slot.
+    pub fn estimate_many(
+        &self,
+        cache: &mut EstimateCache,
+        mappings: &[Parallelism],
+        training: &TrainingConfig,
+    ) -> Vec<Result<Estimate>> {
+        match self.prepare(cache, training) {
+            Ok(kernel) => kernel.estimate_many(cache, mappings),
+            Err(e) => mappings.iter().map(|_| Err(e.clone())).collect(),
+        }
+    }
+
+    /// One kernel call for `p` plus its per-layer rows (see
+    /// [`DetailedEstimate`]).
+    pub(crate) fn estimate_detailed(
+        &self,
+        cache: &mut EstimateCache,
+        p: &Parallelism,
+        training: &TrainingConfig,
+    ) -> Result<DetailedEstimate> {
+        let kernel = self.prepare(cache, training)?;
+        let estimate = kernel
+            .estimate_many(cache, std::slice::from_ref(p))
+            .pop()
+            .expect("one result per mapping")?;
+        let layers = kernel.layer_rows(cache, p, &estimate);
+        Ok(DetailedEstimate { estimate, layers })
+    }
+
+    /// Eq. 6 and Eq. 9 for one layer of `kind` under mapping `p`.
+    fn layer_comm(
+        &self,
+        cache: &mut EstimateCache,
+        p: &Parallelism,
+        kind: LayerKind,
+        replica_batch: f64,
+    ) -> LayerComm {
+        let system = self.system;
+        let cr = cache.layer_counts(self.model, kind, replica_batch);
+        let (intra, inter) = (system.intra(), system.inter());
+        let act_bits = self.precision.act_bits as f64;
+        let mut out = LayerComm::default();
+        // Eq. 6: intra-node TP all-reduce.
+        if p.tp_intra() > 1 {
+            let cost = cache.collective(intra.topology, Collective::AllReduce, p.tp_intra());
+            out.tp_intra = cost.time(
+                cr.act_elems_tp * act_bits,
+                intra.latency_s,
+                intra.bandwidth_bits_per_sec,
+            );
+        }
+        // Eq. 6 applied inter-node.
+        if p.tp_inter() > 1 {
+            let cost = cache.collective(inter.topology, Collective::AllReduce, p.tp_inter());
+            out.tp_inter = cost.time(
+                cr.act_elems_tp * act_bits,
+                inter.latency_s,
+                tp_stream_bandwidth(system, p),
+            );
+        }
+        // Eq. 9: MoE all-to-all over the node fabric. With tensor
+        // parallelism each rank holds (and therefore routes) only its
+        // h/N_TP feature shard of every token, so the per-accelerator
+        // volume divides by the TP degree.
+        if cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
+            let nodes = system.num_nodes() as f64;
+            let cost = cache.collective(inter.topology, Collective::AllToAll, system.num_nodes());
+            let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
+            let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
+            let bw_term = if nodes > 1.0 {
+                2.0 * volume_bits
+                    * cost.factor
+                    * (1.0 / (nodes * intra.bandwidth_bits_per_sec)
+                        + (nodes - 1.0) / (nodes * system.inter_bandwidth_per_accel()))
             } else {
-                1.0
+                // Single node: the all-to-all stays on the intra fabric.
+                2.0 * volume_bits / intra.bandwidth_bits_per_sec
             };
+            out.moe = latency_term + bw_term;
         }
+        out
+    }
+}
 
-        // ---- Vectorized compute loops: kind-outer, candidate-inner. ----
-        // Accumulation order per candidate matches the scalar loop (group
-        // order), and each expression completes the scalar association.
-        let mut sum_uf = vec![0.0f64; n];
-        let mut sum_ub_ = vec![0.0f64; n];
-        let mut cf = vec![0.0f64; n];
-        let mut cb = vec![0.0f64; n];
-        let mut wu = vec![0.0f64; n];
-        for kt in &kind_terms {
-            for j in 0..n {
-                let u_f = kt.macs_fwd * c_mac[j] * mac_scale + kt.nl_f;
-                let u_b = kt.bwd_macs * c_mac[j] * mac_scale + kt.nl_b;
-                let u_w = kt.ww * c_mac[j] * param_scale;
-                let iuf = imbalance[j] * u_f;
-                let iub = imbalance[j] * u_b;
-                sum_uf[j] += iuf * kt.count;
-                sum_ub_[j] += iub * kt.count;
-                cf[j] += iuf / workers[j] * kt.count;
-                cb[j] += iub / workers[j] * kt.count;
-                wu[j] += u_w / workers[j] * kt.count;
-            }
-        }
+/// One pass of the kernel over a fixed [`TrainingConfig`]: the shared
+/// inputs validated and every candidate-invariant term hoisted (see
+/// [`BatchEvaluator::prepare`]).
+#[derive(Debug)]
+pub struct Prepared<'e> {
+    eval: &'e BatchEvaluator<'e>,
+    training: TrainingConfig,
+    groups: Vec<(LayerKind, usize)>,
+    kinds: Vec<KindTerms>,
+    c_nonlin: f64,
+    nonlin_scale: f64,
+    mac_scale: f64,
+    param_scale: f64,
+    /// The Eq. 8 compute-term scale of the configured bubble accounting.
+    compute_scale: f64,
+}
 
-        // ---- Communication, shared across a mapping's variants. ----
-        // All terms depend only on the mapping's degrees/ZeRO config and
-        // the replica batch, never on the microbatch policy, so a run of
-        // variants (adjacent by construction in the search) reuses one
+impl Prepared<'_> {
+    /// Eq. 2 forward/backward and Eq. 12 weight-update time of one layer of
+    /// kind `kt` at the global batch, undivided by the workers.
+    #[inline]
+    fn layer_compute(&self, kt: &KindTerms, c_mac: f64) -> [f64; 3] {
+        [
+            kt.macs_fwd * c_mac * self.mac_scale + kt.nl_f,
+            kt.bwd_macs * c_mac * self.mac_scale + kt.nl_b,
+            kt.ww * c_mac * self.param_scale,
+        ]
+    }
+
+    /// [`BatchEvaluator::estimate_many`] within this pass.
+    pub fn estimate_many(
+        &self,
+        cache: &mut EstimateCache,
+        mappings: &[Parallelism],
+    ) -> Vec<Result<Estimate>> {
+        let eval = self.eval;
+        let (model, accel, system, opts) = (eval.model, eval.accel, eval.system, eval.options);
+        let global_batch = self.training.global_batch();
+        let recompute = opts.activation_recompute;
+        let model_flops = cache.model_flops(global_batch, recompute).unwrap_or_else(|| {
+            let v = metrics::model_flops_per_iteration(model, global_batch, recompute);
+            cache.set_model_flops(global_batch, recompute, v);
+            v
+        });
+
+        // Communication depends only on the mapping's degrees/ZeRO config
+        // and the replica batch, never on the microbatch policy, so a run
+        // of variants (adjacent by construction in the search) reuses one
         // evaluation. Keying on the policy-normalized mapping makes the
         // reuse exact rather than heuristic.
-        let mut comm = vec![CommTerms::default(); n];
-        let mut prev: Option<(Parallelism, CommTerms)> = None;
-        for (j, p) in mappings.iter().enumerate() {
-            if errs[j].is_some() {
-                continue;
-            }
-            let norm = p.with_microbatches(MicrobatchPolicy::Explicit(1));
-            comm[j] = match &prev {
-                Some((key, t)) if *key == norm => *t,
-                _ => {
-                    let t = self.comm_terms(cache, p, replica_batch[j], &groups);
-                    prev = Some((norm, t));
-                    t
-                }
-            };
-        }
-
-        // ---- Per-candidate epilogue. ----
-        let num_batches = training.num_batches() as f64;
-        (0..n)
-            .map(|j| {
-                if let Some(e) = errs[j].take() {
-                    return Err(e);
-                }
-                let p = &mappings[j];
-                let t = comm[j];
-                let mut b = Breakdown {
-                    compute_forward: cf[j],
-                    compute_backward: cb[j],
-                    weight_update: wu[j],
-                    tp_comm_intra: t.tp_comm_intra,
-                    tp_comm_inter: t.tp_comm_inter,
-                    pp_comm: t.pp_comm,
-                    moe_comm: t.moe_comm,
-                    dp_comm_intra: t.dp_comm_intra,
-                    dp_comm_inter: t.dp_comm_inter,
-                    bubble: 0.0,
+        let mut prev: Option<(Parallelism, (Breakdown, f64))> = None;
+        let num_batches = self.training.num_batches() as f64;
+        mappings
+            .iter()
+            .map(|p| {
+                p.validate_against(system, model)?;
+                let workers = p.total_workers() as f64;
+                let n_ub = p.num_microbatches(global_batch);
+                let ub = p.microbatch_size(global_batch);
+                let eff = eval.efficiency.eval(ub);
+                // Eq. 3-4 reciprocal at this candidate's microbatch efficiency.
+                let c_mac = accel.c_mac(eff);
+                // With imbalance correction, the pipeline runs at the slowest
+                // stage's rate. With per-microbatch stage times t_s over the
+                // balanced contiguous partition (mean t̄, max t*), a
+                // GPipe-style pipeline of m microbatches completes a pass in
+                // `p·t̄ + (m−1)·t*`, while the balanced model charges
+                // `(m+p−1)·t̄`; scaling the compute (and its bubble share)
+                // by the ratio reproduces the slowest-stage behaviour exactly
+                // for compute-bound pipelines (see ablation 5 and
+                // tests/sim_agreement.rs). Clamping to ≥ 1 keeps the lower
+                // bound, which drops the correction, exact under rounding.
+                let imbalance = if opts.stage_imbalance_correction && p.pp() > 1 {
+                    let r = self.stage_imbalance_ratio(cache, p.pp(), eff, c_mac);
+                    let (m, pf) = (n_ub as f64, p.pp() as f64);
+                    ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0)
+                } else {
+                    1.0
                 };
+                let norm = p.with_microbatches(MicrobatchPolicy::Explicit(1));
+                let (mut b, bubble_comm) = match prev {
+                    Some((key, t)) if key == norm => t,
+                    _ => {
+                        // Communication volumes use the per-replica batch,
+                        // compute terms the global one (see DESIGN.md
+                        // interpretation notes).
+                        let t = self.comm_terms(cache, p, p.replica_batch(global_batch));
+                        prev = Some((norm, t));
+                        t
+                    }
+                };
+                // Eq. 2 / Eq. 12, divided by the full worker product (Eq. 1).
+                let (mut sum_uf, mut sum_ub) = (0.0, 0.0); // Σ U_f(l), Σ U_b(l)
+                for kt in &self.kinds {
+                    let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
+                    let (iuf, iub) = (imbalance * u_f, imbalance * u_b);
+                    sum_uf += iuf * kt.count;
+                    sum_ub += iub * kt.count;
+                    b.compute_forward += iuf / workers * kt.count;
+                    b.compute_backward += iub / workers * kt.count;
+                    b.weight_update += u_w / workers * kt.count;
+                }
+                // Eq. 8 (see DESIGN.md): bubble = R·(N_PP−1)/N_ub ×
+                //   [ Σ(U_f+U_b)/(N_TP·N_DP·N_PP) + Σ(M_f+M_b) ].
                 if p.pp() > 1 {
-                    b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub[j] as f64
-                        * (compute_scale * (sum_uf[j] + sum_ub_[j]) / workers[j]
-                            + t.fwd_comm_for_bubble);
+                    b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub as f64
+                        * (self.compute_scale * (sum_uf + sum_ub) / workers + bubble_comm);
                 }
                 let time_per_iteration = b.total();
-                let total_time = time_per_iteration * num_batches;
-                let tflops_per_gpu =
-                    metrics::tflops_per_gpu(model_flops, time_per_iteration, workers[j]);
-                let tokens_per_sec = if time_per_iteration > 0.0 {
-                    (global_batch * model.seq_len()) as f64 / time_per_iteration
-                } else {
-                    0.0
-                };
                 Ok(Estimate {
                     breakdown: b,
                     time_per_iteration: Seconds::new(time_per_iteration),
-                    total_time: Seconds::new(total_time),
-                    microbatch_size: ub[j],
-                    num_microbatches: n_ub[j],
-                    efficiency: eff[j],
+                    total_time: Seconds::new(time_per_iteration * num_batches),
+                    microbatch_size: ub,
+                    num_microbatches: n_ub,
+                    efficiency: eff,
                     model_flops_per_iteration: model_flops,
-                    tflops_per_gpu,
+                    tflops_per_gpu: metrics::tflops_per_gpu(
+                        model_flops,
+                        time_per_iteration,
+                        workers,
+                    ),
                     total_workers: p.total_workers(),
-                    tokens_per_sec,
+                    tokens_per_sec: if time_per_iteration > 0.0 {
+                        (global_batch * model.seq_len()) as f64 / time_per_iteration
+                    } else {
+                        0.0
+                    },
                 })
             })
             .collect()
     }
 
-    /// One candidate's communication terms — a verbatim transcription of
-    /// `estimate_cached`'s communication section (same expressions, same
-    /// guards, same group order, same cache accessors).
+    /// A lower bound on the total training time of the fastest of
+    /// `variants`, microbatch variants of one mapping: per variant,
+    /// forward + backward + weight-update time at its own microbatch
+    /// efficiency plus the tensor-parallel all-reduce floor, with all
+    /// other communication, the pipeline bubble and stage imbalance
+    /// dropped. `INFINITY` when `variants` is empty.
+    ///
+    /// The TP floor depends on the replica batch, never on the microbatch
+    /// split, so the variants share one evaluation of it; the compute
+    /// terms complete the pass's hoisted per-kind products. Every term is
+    /// accumulated with [`Prepared::estimate_many`]'s expressions and
+    /// order, and every dropped or shrunk term is non-negative under
+    /// monotone float operations, so the bound never exceeds the kernel's
+    /// total time **exactly in f64**. That exactness is what lets `amped-search`
+    /// prune candidates against an incumbent best time without ever
+    /// discarding the true optimum.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first variant that does not fit the system/model.
+    pub fn lower_bound(
+        &self,
+        cache: &mut EstimateCache,
+        variants: impl IntoIterator<Item = Parallelism>,
+    ) -> Result<f64> {
+        let eval = self.eval;
+        let global_batch = self.training.global_batch();
+        let num_batches = self.training.num_batches() as f64;
+        let mut floor = None;
+        let mut bound = f64::INFINITY;
+        for v in variants {
+            v.validate_against(eval.system, eval.model)?;
+            let tp = *floor.get_or_insert_with(|| self.tp_floor(cache, &v));
+            let workers = v.total_workers() as f64;
+            let eff = eval.efficiency.eval(v.microbatch_size(global_batch));
+            let c_mac = eval.accel.c_mac(eff);
+            let (mut cf, mut cb, mut wu) = (0.0, 0.0, 0.0);
+            for kt in &self.kinds {
+                let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
+                cf += u_f / workers * kt.count;
+                cb += u_b / workers * kt.count;
+                wu += u_w / workers * kt.count;
+            }
+            // Same association as Breakdown::compute_total(), the head of
+            // Breakdown::comm_total()'s left fold, and Eq. 1's batch
+            // multiplication, so the bound survives rounding exactly.
+            bound = bound.min((cf + cb + wu + tp) * num_batches);
+        }
+        Ok(bound)
+    }
+
+    /// `tp_comm_intra + tp_comm_inter` of mapping `p`, accumulated exactly
+    /// as [`Prepared::comm_terms`] accumulates them.
+    fn tp_floor(&self, cache: &mut EstimateCache, p: &Parallelism) -> f64 {
+        if p.tp() == 1 {
+            return 0.0;
+        }
+        let (comm_passes, stage_share) = comm_scaling(self.eval.options, p);
+        let replica_batch = p.replica_batch(self.training.global_batch());
+        let (mut intra, mut inter) = (0.0, 0.0);
+        for &(kind, count) in &self.groups {
+            let t = self.eval.layer_comm(cache, p, kind, replica_batch);
+            intra += comm_passes * stage_share * t.tp_intra * count as f64;
+            inter += comm_passes * stage_share * t.tp_inter * count as f64;
+        }
+        intra + inter
+    }
+
+    /// One candidate's communication components (Eq. 6, 7, 9, 10-11) and
+    /// `Σ(M_f + M_b)` without the DP sync — the traffic the bubble waits
+    /// on.
     fn comm_terms(
         &self,
         cache: &mut EstimateCache,
         p: &Parallelism,
         replica_batch: f64,
-        groups: &[(crate::model::LayerKind, usize)],
-    ) -> CommTerms {
-        let (model, system) = (self.model, self.system);
-        let opts = self.options;
-        let mut out = CommTerms::default();
-
-        let zero_factor = 1.0 + p.zero().comm_overhead;
-        let comm_passes = zero_factor * (1.0 + opts.backward_comm_factor);
-        let intra = system.intra();
-        let inter = system.inter();
-        let inter_bw = system.inter_bandwidth_per_accel();
-        let nic_aggregate = system.inter().bandwidth_bits_per_sec * system.nics_per_node() as f64;
-        let inter_bw_tp_stream = (inter_bw * p.tp_intra() as f64).min(nic_aggregate);
-        let act_bits = self.precision.act_bits as f64;
-        let stage_share = 1.0 / p.pp() as f64;
-
-        for &(kind, count) in groups {
-            let cr = cache.layer_counts(model, kind, replica_batch);
+    ) -> (Breakdown, f64) {
+        let eval = self.eval;
+        let (model, system) = (eval.model, eval.system);
+        let (intra, inter) = (system.intra(), system.inter());
+        let (comm_passes, stage_share) = comm_scaling(eval.options, p);
+        let mut out = Breakdown::default();
+        let mut bubble_comm = 0.0;
+        for &(kind, count) in &self.groups {
+            let t = eval.layer_comm(cache, p, kind, replica_batch);
             let n = count as f64;
-
-            if p.tp_intra() > 1 {
-                let cost = cache.collective(intra.topology, Collective::AllReduce, p.tp_intra());
-                let t = cost.time(
-                    cr.act_elems_tp * act_bits,
-                    intra.latency_s,
-                    intra.bandwidth_bits_per_sec,
-                );
-                out.tp_comm_intra += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
-            }
-            if p.tp_inter() > 1 {
-                let cost = cache.collective(inter.topology, Collective::AllReduce, p.tp_inter());
-                let t = cost.time(cr.act_elems_tp * act_bits, inter.latency_s, inter_bw_tp_stream);
-                out.tp_comm_inter += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
-            }
-            if cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
-                let nodes = system.num_nodes() as f64;
-                let cost =
-                    cache.collective(inter.topology, Collective::AllToAll, system.num_nodes());
-                let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
-                let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
-                let bw_term = if nodes > 1.0 {
-                    2.0 * volume_bits
-                        * cost.factor
-                        * (1.0 / (nodes * intra.bandwidth_bits_per_sec)
-                            + (nodes - 1.0) / (nodes * inter_bw))
-                } else {
-                    2.0 * volume_bits / intra.bandwidth_bits_per_sec
-                };
-                let t = latency_term + bw_term;
-                out.moe_comm += comm_passes * stage_share * t * n;
-                out.fwd_comm_for_bubble +=
-                    zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t * n;
-            }
+            let tp_intra = comm_passes * stage_share * t.tp_intra * n;
+            out.tp_comm_intra += tp_intra;
+            bubble_comm += tp_intra;
+            let tp_inter = comm_passes * stage_share * t.tp_inter * n;
+            out.tp_comm_inter += tp_inter;
+            bubble_comm += tp_inter;
+            let moe = comm_passes * stage_share * t.moe * n;
+            out.moe_comm += moe;
+            bubble_comm += moe;
         }
 
+        // Eq. 7: pipeline communication — one whole-batch stage transfer,
+        // the per-layer 1/L folds away when summing over the stack. The
+        // pipeline runs at the slower of its intra/inter hops (Eq. 5 max).
         if p.pp() > 1 {
+            let act_bits = eval.precision.act_bits as f64;
             let vol_bits =
                 replica_batch * model.seq_len() as f64 * model.hidden_size() as f64 * act_bits;
             let t_intra = if p.pp_intra() > 1 {
@@ -461,22 +577,28 @@ impl<'a> BatchEvaluator<'a> {
                 0.0
             };
             let t_inter = if p.pp_inter() > 1 {
-                inter.latency_s + vol_bits / inter_bw_tp_stream
+                // The stage's tensor-parallel shards leave the node through
+                // their NIC shares concurrently.
+                inter.latency_s + vol_bits / tp_stream_bandwidth(system, p)
             } else {
                 0.0
             };
-            let t = t_intra.max(t_inter);
-            out.pp_comm = comm_passes * t;
-            out.fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * t;
+            out.pp_comm = comm_passes * t_intra.max(t_inter);
+            bubble_comm += out.pp_comm;
         }
 
+        // Eq. 10-11: hierarchical gradient all-reduce over the DP groups.
+        // Gradients are bucketed into one fused all-reduce per group (as
+        // DDP implementations do), so the per-hop latency is paid once and
+        // only the volume sums over layers. ZeRO >= stage 2 turns it into a
+        // reduce-scatter (half the volume).
         let grad_collective = if p.zero().stage >= ZeroStage::Gradients {
             Collective::ReduceScatter
         } else {
             Collective::AllReduce
         };
-        let grad_bits = self.precision.grad_bits as f64;
-        let n_g_total = grad_sync_volume(cache, model, system, groups, p.tp(), p.pp());
+        let grad_bits = eval.precision.grad_bits as f64;
+        let n_g_total = self.grad_sync_volume(cache, p);
         if p.dp_intra() > 1 {
             let cost = cache.collective(intra.topology, grad_collective, p.dp_intra());
             out.dp_comm_intra = cost.time(
@@ -486,22 +608,148 @@ impl<'a> BatchEvaluator<'a> {
             );
         }
         if p.dp_inter() > 1 {
+            // The intra-node phase reduce-scatters, so each accelerator
+            // carries only its 1/DP_intra shard across nodes.
             let cost = cache.collective(inter.topology, grad_collective, p.dp_inter());
             out.dp_comm_inter = cost.time(
                 n_g_total / p.dp_intra() as f64 * grad_bits,
                 inter.latency_s,
-                inter_bw,
+                system.inter_bandwidth_per_accel(),
             );
         }
+        (out, bubble_comm)
+    }
 
-        out
+    /// Eq. 10: one layer's per-accelerator share of the synchronized
+    /// gradients under `p`. Expert parallelism (GShard/GLaM) shards expert
+    /// weights across the nodes rather than replicating them, so each
+    /// accelerator only synchronizes its 1/EP share of the expert
+    /// gradients.
+    fn grad_share(&self, cache: &mut EstimateCache, kind: LayerKind, p: &Parallelism) -> f64 {
+        let (model, system) = (self.eval.model, self.eval.system);
+        let c = cache.layer_counts(model, kind, 1.0);
+        let expert_parallel = model
+            .moe()
+            .map(|cfg| cfg.num_experts.min(system.num_nodes()).max(1))
+            .unwrap_or(1) as f64;
+        (c.weights - c.weights_expert + c.weights_expert / expert_parallel)
+            / (p.tp() as f64 * p.pp() as f64)
+    }
+
+    /// The memoized Eq. 10 per-accelerator gradient-sync volume `N_g` of
+    /// `p`'s `(tp, pp)` shard, summed over the layer-kind groups.
+    fn grad_sync_volume(&self, cache: &mut EstimateCache, p: &Parallelism) -> f64 {
+        if let Some(v) = cache.grad_volume(p.tp(), p.pp()) {
+            return v;
+        }
+        let v: f64 = self
+            .groups
+            .iter()
+            .map(|&(kind, count)| self.grad_share(cache, kind, p) * count as f64)
+            .sum();
+        cache.set_grad_volume(p.tp(), p.pp(), v);
+        v
+    }
+
+    /// The memoized stage-imbalance ratio `r = t*/t̄ ≥ 1` of a `pp`-stage
+    /// contiguous split of the layer stack, at per-layer forward times
+    /// priced with `c_mac` (the efficiency `eff` gives).
+    fn stage_imbalance_ratio(
+        &self,
+        cache: &mut EstimateCache,
+        pp: usize,
+        eff: f64,
+        c_mac: f64,
+    ) -> f64 {
+        if let Some(r) = cache.imbalance_ratio(pp, eff.to_bits()) {
+            return r;
+        }
+        let model = self.eval.model;
+        let stack = model.layer_stack();
+        let weights: Vec<f64> = stack
+            .iter()
+            .map(|&kind| {
+                let c = cache.layer_counts(model, kind, 1.0);
+                c.macs_fwd * c_mac * self.mac_scale
+                    + c.nonlin_fwd * self.c_nonlin * self.nonlin_scale
+            })
+            .collect();
+        let (base, extra) = (stack.len() / pp, stack.len() % pp);
+        let mut cursor = 0;
+        let mut max_stage = 0.0f64;
+        let total: f64 = weights.iter().sum();
+        for s in 0..pp {
+            let take = base + usize::from(s < extra);
+            let stage: f64 = weights[cursor..cursor + take].iter().sum();
+            max_stage = max_stage.max(stage);
+            cursor += take;
+        }
+        let r = if total > 0.0 {
+            (max_stage * pp as f64 / total).max(1.0)
+        } else {
+            1.0
+        };
+        cache.set_imbalance_ratio(pp, eff.to_bits(), r);
+        r
+    }
+
+    /// Per-layer rows of `estimate`, the kernel's result for `p`: each
+    /// layer's compute and TP/MoE communication from the same per-kind
+    /// terms the kernel sums (without the stage-imbalance scaling), and the
+    /// fused gradient sync attributed to layers by their share of the
+    /// synchronized volume.
+    fn layer_rows(
+        &self,
+        cache: &mut EstimateCache,
+        p: &Parallelism,
+        estimate: &Estimate,
+    ) -> Vec<LayerEstimate> {
+        let eval = self.eval;
+        let workers = p.total_workers() as f64;
+        let c_mac = eval.accel.c_mac(estimate.efficiency);
+        let replica_batch = p.replica_batch(self.training.global_batch());
+        let (comm_passes, stage_share) = comm_scaling(eval.options, p);
+        let n_g_total = self.grad_sync_volume(cache, p);
+        let dp_total = estimate.breakdown.dp_comm_intra + estimate.breakdown.dp_comm_inter;
+        let per_kind: Vec<LayerEstimate> = self
+            .kinds
+            .iter()
+            .map(|kt| {
+                let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
+                let t = eval.layer_comm(cache, p, kt.kind, replica_batch);
+                let n_g = self.grad_share(cache, kt.kind, p);
+                LayerEstimate {
+                    index: 0,
+                    kind: kt.kind,
+                    compute_forward: u_f / workers,
+                    compute_backward: u_b / workers,
+                    weight_update: u_w / workers,
+                    tp_comm: comm_passes * stage_share * t.tp_intra
+                        + comm_passes * stage_share * t.tp_inter,
+                    moe_comm: comm_passes * stage_share * t.moe,
+                    dp_comm: if n_g_total > 0.0 {
+                        dp_total * n_g / n_g_total
+                    } else {
+                        0.0
+                    },
+                }
+            })
+            .collect();
+        eval.model
+            .layer_stack()
+            .into_iter()
+            .enumerate()
+            .map(|(index, kind)| {
+                let row = per_kind.iter().find(|r| r.kind == kind).expect("every kind is grouped");
+                LayerEstimate { index, ..*row }
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineOptions;
     use crate::model::MoeConfig;
     use crate::network::Link;
     use crate::parallelism::ZeroConfig;
@@ -583,19 +831,19 @@ mod tests {
 
     fn assert_bit_identical(
         batch: &BatchEvaluator<'_>,
-        scalar_of: impl Fn(&Parallelism, &mut EstimateCache) -> Result<Estimate>,
+        alone: impl Fn(&Parallelism, &mut EstimateCache) -> Result<Estimate>,
         mappings: &[Parallelism],
         training: &TrainingConfig,
     ) {
-        // Cold shared cache for the batch, cold shared cache for the scalar
-        // loop: both paths must produce the same estimates AND the same
-        // cache behaviour.
+        // Cold shared cache for the batch, cold shared cache for the
+        // one-candidate loop: both must produce the same estimates AND the
+        // same cache behaviour.
         let mut batch_cache = EstimateCache::new();
         let batched = batch.estimate_many(&mut batch_cache, mappings, training);
-        let mut scalar_cache = EstimateCache::new();
+        let mut alone_cache = EstimateCache::new();
         assert_eq!(batched.len(), mappings.len());
         for (p, b) in mappings.iter().zip(&batched) {
-            let s = scalar_of(p, &mut scalar_cache);
+            let s = alone(p, &mut alone_cache);
             match (s, b) {
                 (Ok(s), Ok(b)) => {
                     assert_eq!(
@@ -624,7 +872,7 @@ mod tests {
                     assert_eq!(s.total_workers, b.total_workers);
                 }
                 (Err(_), Err(_)) => {}
-                (s, b) => panic!("outcome mismatch for {p:?}: scalar {s:?} vs batch {b:?}"),
+                (s, b) => panic!("outcome mismatch for {p:?}: alone {s:?} vs batch {b:?}"),
             }
         }
         // Warm-cache rerun of the batch stays bit-identical.
@@ -637,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_loop_bitwise_dense() {
+    fn batch_matches_one_at_a_time_bitwise_dense() {
         let m = dense_model();
         let a = accel();
         let sys = system(4, 8);
@@ -666,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_loop_bitwise_moe_with_zero() {
+    fn batch_matches_one_at_a_time_bitwise_moe_with_zero() {
         let m = moe_model();
         let a = accel();
         let sys = system(4, 8);
@@ -697,7 +945,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_fills_the_cache_with_the_scalar_entries() {
+    fn batch_fills_the_cache_with_the_one_at_a_time_entries() {
         let m = dense_model();
         let a = accel();
         let sys = system(4, 8);
@@ -705,8 +953,8 @@ mod tests {
         let training = TrainingConfig::new(512, 10).unwrap();
         let mappings = mappings_with_variants(512);
 
-        // A cache warmed by the batch path serves the scalar path fully:
-        // a scalar pass over a batch-warmed cache adds no new misses.
+        // A cache warmed by a batch serves one-candidate calls fully: a
+        // pass of batches of one over it adds no new misses.
         let mut cache = EstimateCache::new();
         BatchEvaluator::new(&m, &a, &sys)
             .with_efficiency(effm.clone())
@@ -741,11 +989,11 @@ mod tests {
             out[0].as_ref().unwrap().total_time.get().to_bits(),
             out[2].as_ref().unwrap().total_time.get().to_bits()
         );
-        // The per-candidate error matches the scalar path's.
-        let scalar = Estimator::new(&m, &a, &sys, &bad).estimate(&training);
+        // The per-candidate error matches a batch of one's.
+        let alone = Estimator::new(&m, &a, &sys, &bad).estimate(&training);
         assert_eq!(
             format!("{}", out[1].as_ref().unwrap_err()),
-            format!("{}", scalar.unwrap_err())
+            format!("{}", alone.unwrap_err())
         );
     }
 
@@ -761,5 +1009,150 @@ mod tests {
             &TrainingConfig::new(64, 1).unwrap(),
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn cache_survives_parallelism_and_batch_changes() {
+        // The same cache serves different mappings and batch sizes; keyed
+        // sub-results keep the outputs equal to fresh-cache runs.
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let training = TrainingConfig::new(256, 2).unwrap();
+        let mut shared = EstimateCache::new();
+        for (tp, pp, dp_intra, dp_inter) in [(8, 1, 1, 2), (4, 2, 1, 2), (1, 8, 1, 2), (2, 1, 4, 2)]
+        {
+            let p = Parallelism::builder()
+                .tp(tp, 1)
+                .pp(pp, 1)
+                .dp(dp_intra, dp_inter)
+                .build()
+                .unwrap();
+            let est = Estimator::new(&m, &a, &sys, &p)
+                .with_efficiency(EfficiencyModel::Constant(0.5));
+            let from_shared = est.estimate_cached(&mut shared, &training).unwrap();
+            let from_fresh = est.estimate(&training).unwrap();
+            assert_eq!(
+                from_shared.total_time.get().to_bits(),
+                from_fresh.total_time.get().to_bits()
+            );
+        }
+        assert!(shared.hits() > 0);
+    }
+
+    /// The kernel's lower bound for the single variant `p`.
+    fn lower_bound(
+        batch: &BatchEvaluator<'_>,
+        cache: &mut EstimateCache,
+        p: &Parallelism,
+        training: &TrainingConfig,
+    ) -> Result<f64> {
+        batch.prepare(cache, training)?.lower_bound(cache, [*p])
+    }
+
+    #[test]
+    fn lower_bound_never_exceeds_the_estimate() {
+        let m = moe_model();
+        let a = accel();
+        let sys = system(4, 8);
+        let training = TrainingConfig::new(256, 7).unwrap();
+        let batch = BatchEvaluator::new(&m, &a, &sys)
+            .with_efficiency(EfficiencyModel::saturating(0.95, 4.0, 0.25, 0.95))
+            .with_options(EngineOptions {
+                stage_imbalance_correction: true,
+                ..Default::default()
+            });
+        for p in [
+            Parallelism::builder().tp(8, 1).dp(1, 4).build().unwrap(),
+            Parallelism::builder().tp(2, 1).pp(4, 2).dp(1, 2).build().unwrap(),
+            Parallelism::builder().pp(8, 1).dp(1, 4).build().unwrap(),
+        ] {
+            let mut cache = EstimateCache::new();
+            let lb = lower_bound(&batch, &mut cache, &p, &training).unwrap();
+            let full = batch.estimate_many(&mut cache, &[p], &training).remove(0).unwrap();
+            assert!(
+                lb <= full.total_time.get(),
+                "lb {lb} > total {} for {p:?}",
+                full.total_time.get()
+            );
+            assert!(lb > 0.0);
+        }
+    }
+
+    #[test]
+    fn lower_bound_tp_floor_matches_estimate_terms_bitwise() {
+        // With pp = 1 the imbalance correction is off, so the bound's
+        // compute terms match the estimate's bitwise — and the TP floor
+        // repeats the estimate's own accumulation, so the whole bound is
+        // reconstructable from the breakdown, exactly.
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let training = TrainingConfig::new(256, 7).unwrap();
+        let p = Parallelism::builder().tp(8, 1).dp(1, 2).build().unwrap();
+        let batch =
+            BatchEvaluator::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.5));
+        let mut cache = EstimateCache::new();
+        let lb = lower_bound(&batch, &mut cache, &p, &training).unwrap();
+        let full = batch.estimate_many(&mut cache, &[p], &training).remove(0).unwrap();
+        let b = &full.breakdown;
+        let expect = (b.compute_total() + (b.tp_comm_intra + b.tp_comm_inter)) * 7.0;
+        assert_eq!(lb.to_bits(), expect.to_bits());
+        // The floor genuinely tightens a compute-only bound.
+        assert!(b.tp_comm_intra > 0.0);
+        assert!(lb > b.compute_total() * 7.0);
+        assert!(lb <= full.total_time.get());
+    }
+
+    #[test]
+    fn lower_bound_over_a_ladder_is_the_minimum_of_its_rungs() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(2, 8);
+        let training = TrainingConfig::new(256, 3).unwrap();
+        let batch = BatchEvaluator::new(&m, &a, &sys)
+            .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
+        let p = Parallelism::builder().tp(4, 1).pp(2, 2).build().unwrap();
+        let ladder: Vec<Parallelism> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&m| p.with_microbatches(MicrobatchPolicy::Explicit(m)))
+            .collect();
+        let mut cache = EstimateCache::new();
+        let kernel = batch.prepare(&mut cache, &training).unwrap();
+        let together = kernel.lower_bound(&mut cache, ladder.iter().copied()).unwrap();
+        let alone = ladder
+            .iter()
+            .map(|v| lower_bound(&batch, &mut EstimateCache::new(), v, &training).unwrap())
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(together.to_bits(), alone.to_bits());
+        assert_eq!(kernel.lower_bound(&mut cache, []).unwrap(), f64::INFINITY);
+    }
+
+    #[test]
+    fn lower_bound_equals_the_estimate_when_nothing_is_dropped() {
+        // Single worker: no comms, no bubble, imbalance off — the bound is
+        // the whole answer.
+        let m = dense_model();
+        let a = accel();
+        let sys = system(1, 1);
+        let p = Parallelism::single();
+        let training = TrainingConfig::new(32, 4).unwrap();
+        let batch =
+            BatchEvaluator::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.5));
+        let mut cache = EstimateCache::new();
+        let lb = lower_bound(&batch, &mut cache, &p, &training).unwrap();
+        let full = batch.estimate_many(&mut cache, &[p], &training).remove(0).unwrap();
+        assert_eq!(lb.to_bits(), full.total_time.get().to_bits());
+    }
+
+    #[test]
+    fn lower_bound_rejects_invalid_mappings() {
+        let m = dense_model();
+        let a = accel();
+        let sys = system(1, 8);
+        let p = Parallelism::builder().tp(4, 1).build().unwrap(); // 4 != 8
+        let batch = BatchEvaluator::new(&m, &a, &sys);
+        let training = TrainingConfig::new(8, 1).unwrap();
+        assert!(lower_bound(&batch, &mut EstimateCache::new(), &p, &training).is_err());
     }
 }

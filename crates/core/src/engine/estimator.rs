@@ -1,19 +1,15 @@
-//! The estimator: Eq. 1 of the paper, assembled from Eq. 2–12.
-
-use amped_topo::Collective;
+//! The estimator: Eq. 1 of the paper for one parallelism mapping — a view
+//! over the pricing kernel ([`BatchEvaluator`]).
 
 use crate::accelerator::AcceleratorSpec;
-use crate::counts::LayerCounts;
 use crate::efficiency::EfficiencyModel;
-use crate::engine::{Breakdown, DetailedEstimate, EngineOptions, Estimate, LayerEstimate};
+use crate::engine::{BatchEvaluator, DetailedEstimate, EngineOptions, Estimate, EstimateCache};
 use crate::error::Result;
-use crate::metrics;
 use crate::model::TransformerModel;
 use crate::network::SystemSpec;
-use crate::parallelism::{Parallelism, ZeroStage};
+use crate::parallelism::Parallelism;
 use crate::precision::Precision;
 use crate::training::TrainingConfig;
-use crate::units::Seconds;
 
 /// The AMPeD analytical estimator.
 ///
@@ -48,13 +44,8 @@ use crate::units::Seconds;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Estimator<'a> {
-    model: &'a TransformerModel,
-    accel: &'a AcceleratorSpec,
-    system: &'a SystemSpec,
+    kernel: BatchEvaluator<'a>,
     parallelism: &'a Parallelism,
-    precision: Precision,
-    efficiency: EfficiencyModel,
-    options: EngineOptions,
 }
 
 impl<'a> Estimator<'a> {
@@ -67,488 +58,75 @@ impl<'a> Estimator<'a> {
         parallelism: &'a Parallelism,
     ) -> Self {
         Estimator {
-            model,
-            accel,
-            system,
+            kernel: BatchEvaluator::new(model, accel, system),
             parallelism,
-            precision: Precision::default(),
-            efficiency: EfficiencyModel::default(),
-            options: EngineOptions::default(),
         }
     }
 
     /// Override the operand precisions.
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.kernel = self.kernel.with_precision(precision);
         self
     }
 
     /// Override the microbatch-efficiency model.
     pub fn with_efficiency(mut self, efficiency: EfficiencyModel) -> Self {
-        self.efficiency = efficiency;
+        self.kernel = self.kernel.with_efficiency(efficiency);
         self
     }
 
     /// Override the engine options.
     pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
+        self.kernel = self.kernel.with_options(options);
         self
     }
 
-    /// The model under estimation.
-    pub fn model(&self) -> &'a TransformerModel {
-        self.model
-    }
-
-    /// The accelerator specification.
-    pub fn accel(&self) -> &'a AcceleratorSpec {
-        self.accel
-    }
-
-    /// The system (cluster) specification.
-    pub fn system(&self) -> &'a SystemSpec {
-        self.system
-    }
-
-    /// The parallelism mapping.
-    pub fn parallelism(&self) -> &'a Parallelism {
-        self.parallelism
-    }
-
-    /// The precision currently configured.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// The efficiency model currently configured.
-    pub fn efficiency(&self) -> &EfficiencyModel {
-        &self.efficiency
-    }
-
-    /// The engine options currently configured.
-    pub fn options(&self) -> EngineOptions {
-        self.options
-    }
-
     /// Run Eq. 1: predict the training time and its breakdown.
+    ///
+    /// Equivalent to [`Estimator::estimate_cached`] against a fresh
+    /// [`EstimateCache`].
     ///
     /// # Errors
     ///
     /// Returns an error when any component fails validation or the
     /// parallelism mapping does not fit the system/model.
     pub fn estimate(&self, training: &TrainingConfig) -> Result<Estimate> {
-        self.precision.validate()?;
-        self.efficiency.validate()?;
-        self.options.validate()?;
-        self.parallelism.validate_against(self.system, self.model)?;
-
-        let p = self.parallelism;
-        let global_batch = training.global_batch();
-        let workers = p.total_workers() as f64;
-        let n_ub = p.num_microbatches(global_batch);
-        let ub = p.microbatch_size(global_batch);
-        let eff = self.efficiency.eval(ub);
-        let replica_batch = p.replica_batch(global_batch);
-
-        // Eq. 3-4 reciprocals and Eq. 2 precision de-ratings.
-        let c_mac = self.accel.c_mac(eff);
-        let c_nonlin = self.accel.c_nonlin();
-        let mac_scale = self
-            .accel
-            .mac_precision_scale(self.precision.mac_operand_bits());
-        let param_scale = self.accel.mac_precision_scale(self.precision.param_bits);
-        let nonlin_scale = self
-            .accel
-            .nonlin_precision_scale(self.precision.nonlin_bits);
-
-        let opts = self.options;
-        let bwd_c = opts.backward_compute_factor + if opts.activation_recompute { 1.0 } else { 0.0 };
-
-        let mut b = Breakdown::default();
-        let stack = self.model.layer_stack();
-
-        // With imbalance correction, the pipeline runs at the slowest
-        // stage's rate. With per-microbatch stage times t_s over the
-        // balanced contiguous partition (mean t̄, max t*), a GPipe-style
-        // pipeline of m microbatches completes a pass in
-        // `p·t̄ + (m−1)·t*`, while the balanced model charges
-        // `(m+p−1)·t̄`; scaling the compute (and its bubble share) by the
-        // ratio reproduces the slowest-stage behaviour exactly for
-        // compute-bound pipelines (see ablation 5 and
-        // tests/sim_agreement.rs).
-        let imbalance = if opts.stage_imbalance_correction && p.pp() > 1 {
-            let weights: Vec<f64> = stack
-                .iter()
-                .map(|&kind| {
-                    let c = LayerCounts::for_layer(self.model, kind, 1.0);
-                    c.macs_fwd * c_mac * mac_scale + c.nonlin_fwd * c_nonlin * nonlin_scale
-                })
-                .collect();
-            let pp = p.pp();
-            let base = stack.len() / pp;
-            let extra = stack.len() % pp;
-            let mut cursor = 0;
-            let mut max_stage = 0.0f64;
-            let total: f64 = weights.iter().sum();
-            for s in 0..pp {
-                let take = base + usize::from(s < extra);
-                let stage: f64 = weights[cursor..cursor + take].iter().sum();
-                max_stage = max_stage.max(stage);
-                cursor += take;
-            }
-            if total > 0.0 {
-                let r = max_stage * pp as f64 / total; // t*/t̄ ≥ 1
-                let (m, pf) = (n_ub as f64, pp as f64);
-                (pf + (m - 1.0) * r) / (m + pf - 1.0)
-            } else {
-                1.0
-            }
-        } else {
-            1.0
-        };
-
-        // Compute terms use the *global* batch and are divided by the full
-        // worker product (Eq. 1); communication volumes use the per-replica
-        // batch (see DESIGN.md interpretation notes).
-        let mut sum_uf = 0.0; // Σ U_f(l), undivided
-        let mut sum_ub_ = 0.0; // Σ U_b(l), undivided
-
-        for &kind in &stack {
-            let cg = LayerCounts::for_layer(self.model, kind, global_batch as f64);
-            // Eq. 2.
-            let u_f = cg.macs_fwd * c_mac * mac_scale + cg.nonlin_fwd * c_nonlin * nonlin_scale;
-            let u_b = bwd_c * cg.macs_fwd * c_mac * mac_scale
-                + opts.backward_nonlin_factor * cg.nonlin_fwd * c_nonlin * nonlin_scale;
-            // Eq. 12 (weights are batch-independent).
-            let u_w = opts.weight_update_factor * cg.weights * c_mac * param_scale;
-
-            sum_uf += imbalance * u_f;
-            sum_ub_ += imbalance * u_b;
-            b.compute_forward += imbalance * u_f / workers;
-            b.compute_backward += imbalance * u_b / workers;
-            b.weight_update += u_w / workers;
-        }
-
-        // ---- Communication (per layer, forward; backward mirrors it). ----
-        let zero_factor = 1.0 + p.zero().comm_overhead;
-        let comm_passes = zero_factor * (1.0 + opts.backward_comm_factor);
-        let intra = self.system.intra();
-        let inter = self.system.inter();
-        let inter_bw = self.system.inter_bandwidth_per_accel();
-        // Hierarchical collectives: when a whole intra-node TP group feeds a
-        // single inter-node stream, that stream can drive the node's NICs in
-        // parallel — tp_intra per-accelerator shares aggregate (capped at the
-        // node's full NIC bandwidth).
-        let nic_aggregate = self.system.inter().bandwidth_bits_per_sec
-            * self.system.nics_per_node() as f64;
-        let inter_bw_tp_stream = (inter_bw * p.tp_intra() as f64).min(nic_aggregate);
-        let act_bits = self.precision.act_bits as f64;
-
-        let mut fwd_comm_for_bubble = 0.0; // Σ_l (M_f + M_b) excluding DP sync
-        // Layers are spread over the pipeline stages and their collectives
-        // run concurrently, so the per-iteration critical path carries only
-        // a 1/N_PP share of the summed per-layer communication (DESIGN.md
-        // interpretation note 7).
-        let stage_share = 1.0 / p.pp() as f64;
-
-        for &kind in &stack {
-            let cr = LayerCounts::for_layer(self.model, kind, replica_batch);
-
-            // Eq. 6: intra-node TP all-reduce.
-            if p.tp_intra() > 1 {
-                let cost = intra.topology.cost(Collective::AllReduce, p.tp_intra());
-                let t = cost.time(
-                    cr.act_elems_tp * act_bits,
-                    intra.latency_s,
-                    intra.bandwidth_bits_per_sec,
-                );
-                b.tp_comm_intra += comm_passes * stage_share * t;
-                fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t;
-            }
-            // Eq. 6 applied inter-node.
-            if p.tp_inter() > 1 {
-                let cost = inter.topology.cost(Collective::AllReduce, p.tp_inter());
-                let t = cost.time(
-                    cr.act_elems_tp * act_bits,
-                    inter.latency_s,
-                    inter_bw_tp_stream,
-                );
-                b.tp_comm_inter += comm_passes * stage_share * t;
-                fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t;
-            }
-            // Eq. 9: MoE all-to-all over the node fabric. With tensor
-            // parallelism each rank holds (and therefore routes) only its
-            // h/N_TP feature shard of every token, so the per-accelerator
-            // volume divides by the TP degree.
-            if cr.act_elems_moe > 0.0 && self.system.num_nodes() >= 1 {
-                let nodes = self.system.num_nodes() as f64;
-                let cost = inter.topology.cost(Collective::AllToAll, self.system.num_nodes());
-                let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
-                let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
-                let bw_term = if nodes > 1.0 {
-                    2.0 * volume_bits
-                        * cost.factor
-                        * (1.0 / (nodes * intra.bandwidth_bits_per_sec)
-                            + (nodes - 1.0) / (nodes * inter_bw))
-                } else {
-                    // Single node: the all-to-all stays on the intra fabric.
-                    2.0 * volume_bits / intra.bandwidth_bits_per_sec
-                };
-                let t = latency_term + bw_term;
-                b.moe_comm += comm_passes * stage_share * t;
-                fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * stage_share * t;
-            }
-        }
-
-        // Eq. 7: pipeline communication — one whole-batch stage transfer,
-        // the per-layer 1/L folds away when summing over the stack. The
-        // pipeline runs at the slower of its intra/inter hops (Eq. 5 max).
-        if p.pp() > 1 {
-            let vol_bits = replica_batch * self.model.seq_len() as f64
-                * self.model.hidden_size() as f64
-                * act_bits;
-            let t_intra = if p.pp_intra() > 1 {
-                intra.latency_s + vol_bits / intra.bandwidth_bits_per_sec
-            } else {
-                0.0
-            };
-            let t_inter = if p.pp_inter() > 1 {
-                // The stage's tensor-parallel shards leave the node through
-                // their NIC shares concurrently.
-                inter.latency_s + vol_bits / inter_bw_tp_stream
-            } else {
-                0.0
-            };
-            let t = t_intra.max(t_inter);
-            b.pp_comm = comm_passes * t;
-            fwd_comm_for_bubble += zero_factor * (1.0 + opts.backward_comm_factor) * t;
-        }
-
-        // Eq. 10-11: hierarchical gradient all-reduce over the DP groups.
-        // ZeRO >= stage 2 turns it into a reduce-scatter (half the volume).
-        let grad_collective = if p.zero().stage >= ZeroStage::Gradients {
-            Collective::ReduceScatter
-        } else {
-            Collective::AllReduce
-        };
-        let grad_bits = self.precision.grad_bits as f64;
-        // Expert parallelism (GShard/GLaM): expert weights are sharded
-        // across the nodes rather than replicated, so each accelerator only
-        // synchronizes its 1/EP share of the expert gradients.
-        let expert_parallel = self
-            .model
-            .moe()
-            .map(|cfg| cfg.num_experts.min(self.system.num_nodes()).max(1))
-            .unwrap_or(1) as f64;
-        // Gradients are bucketed into one fused all-reduce per group (as
-        // DDP implementations do), so the per-hop latency is paid once and
-        // only the volume sums over layers.
-        let n_g_total: f64 = stack
-            .iter()
-            .map(|&kind| {
-                let cg = LayerCounts::for_layer(self.model, kind, 1.0);
-                let dense_weights = cg.weights - cg.weights_expert;
-                (dense_weights + cg.weights_expert / expert_parallel)
-                    / (p.tp() as f64 * p.pp() as f64)
-            })
-            .sum();
-        if p.dp_intra() > 1 {
-            let cost = intra.topology.cost(grad_collective, p.dp_intra());
-            b.dp_comm_intra = cost.time(
-                n_g_total * grad_bits,
-                intra.latency_s,
-                intra.bandwidth_bits_per_sec,
-            );
-        }
-        if p.dp_inter() > 1 {
-            // Hierarchical all-reduce (Eq. 10): the intra-node phase
-            // reduce-scatters, so each accelerator carries only its
-            // 1/DP_intra shard across nodes.
-            let cost = inter.topology.cost(grad_collective, p.dp_inter());
-            b.dp_comm_inter = cost.time(
-                n_g_total / p.dp_intra() as f64 * grad_bits,
-                inter.latency_s,
-                inter_bw,
-            );
-        }
-
-        // Eq. 8 (see DESIGN.md): bubble = R·(N_PP−1)/N_ub ×
-        //   [ Σ(U_f+U_b)/(N_TP·N_DP·N_PP) + Σ(M_f+M_b) ].
-        if p.pp() > 1 {
-            let compute_scale = match opts.bubble_accounting {
-                crate::engine::BubbleAccounting::GPipe => 1.0,
-                crate::engine::BubbleAccounting::PaperEq8 => 1.0 / stack.len() as f64,
-            };
-            b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub as f64
-                * (compute_scale * (sum_uf + sum_ub_) / workers + fwd_comm_for_bubble);
-        }
-
-        let time_per_iteration = b.total();
-        let total_time = time_per_iteration * training.num_batches() as f64;
-        let model_flops = metrics::model_flops_per_iteration(
-            self.model,
-            global_batch,
-            opts.activation_recompute,
-        );
-        let tflops_per_gpu = metrics::tflops_per_gpu(model_flops, time_per_iteration, workers);
-        let tokens_per_sec = if time_per_iteration > 0.0 {
-            (global_batch * self.model.seq_len()) as f64 / time_per_iteration
-        } else {
-            0.0
-        };
-
-        Ok(Estimate {
-            breakdown: b,
-            time_per_iteration: Seconds::new(time_per_iteration),
-            total_time: Seconds::new(total_time),
-            microbatch_size: ub,
-            num_microbatches: n_ub,
-            efficiency: eff,
-            model_flops_per_iteration: model_flops,
-            tflops_per_gpu,
-            total_workers: p.total_workers(),
-            tokens_per_sec,
-        })
+        self.estimate_cached(&mut EstimateCache::new(), training)
     }
-}
 
-impl<'a> Estimator<'a> {
+    /// [`Estimator::estimate`] with scenario-invariant sub-results memoized
+    /// in `cache`: a batch of one through the kernel. Warming a cache never
+    /// changes a result, so any cache respecting the context-binding
+    /// contract described on [`EstimateCache`] gives the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Estimator::estimate`].
+    pub fn estimate_cached(
+        &self,
+        cache: &mut EstimateCache,
+        training: &TrainingConfig,
+    ) -> Result<Estimate> {
+        self.kernel
+            .estimate_many(cache, std::slice::from_ref(self.parallelism), training)
+            .pop()
+            .expect("one result per mapping")
+    }
+
     /// Like [`Estimator::estimate`], but additionally attributes compute and
     /// communication to individual layers.
     ///
     /// Pipeline-boundary communication and bubble time are whole-pipeline
     /// quantities and appear only in the aggregate; every other breakdown
-    /// component equals the sum of its per-layer rows.
+    /// component equals the sum of its per-layer rows (compute rows carry
+    /// no stage-imbalance scaling).
     ///
     /// # Errors
     ///
     /// Same conditions as [`Estimator::estimate`].
     pub fn estimate_detailed(&self, training: &TrainingConfig) -> Result<DetailedEstimate> {
-        let estimate = self.estimate(training)?;
-
-        let p = self.parallelism;
-        let global_batch = training.global_batch();
-        let workers = p.total_workers() as f64;
-        let ub = p.microbatch_size(global_batch);
-        let eff = self.efficiency.eval(ub);
-        let replica_batch = p.replica_batch(global_batch);
-
-        let c_mac = self.accel.c_mac(eff);
-        let c_nonlin = self.accel.c_nonlin();
-        let mac_scale = self
-            .accel
-            .mac_precision_scale(self.precision.mac_operand_bits());
-        let param_scale = self.accel.mac_precision_scale(self.precision.param_bits);
-        let nonlin_scale = self
-            .accel
-            .nonlin_precision_scale(self.precision.nonlin_bits);
-        let opts = self.options;
-        let bwd_c =
-            opts.backward_compute_factor + if opts.activation_recompute { 1.0 } else { 0.0 };
-        let zero_factor = 1.0 + p.zero().comm_overhead;
-        let comm_passes = zero_factor * (1.0 + opts.backward_comm_factor);
-        let intra = self.system.intra();
-        let inter = self.system.inter();
-        let inter_bw = self.system.inter_bandwidth_per_accel();
-        let nic_aggregate = self.system.inter().bandwidth_bits_per_sec
-            * self.system.nics_per_node() as f64;
-        let inter_bw_tp_stream = (inter_bw * p.tp_intra() as f64).min(nic_aggregate);
-        let act_bits = self.precision.act_bits as f64;
-        let stage_share = 1.0 / p.pp() as f64;
-        let expert_parallel = self
-            .model
-            .moe()
-            .map(|cfg| cfg.num_experts.min(self.system.num_nodes()).max(1))
-            .unwrap_or(1) as f64;
-        let n_g_total: f64 = self
-            .model
-            .layer_stack()
-            .iter()
-            .map(|&kind| {
-                let cg = LayerCounts::for_layer(self.model, kind, 1.0);
-                let dense_weights = cg.weights - cg.weights_expert;
-                (dense_weights + cg.weights_expert / expert_parallel)
-                    / (p.tp() as f64 * p.pp() as f64)
-            })
-            .sum();
-
-        let mut layers = Vec::new();
-        for (index, &kind) in self.model.layer_stack().iter().enumerate() {
-            let cg = LayerCounts::for_layer(self.model, kind, global_batch as f64);
-            let cr = LayerCounts::for_layer(self.model, kind, replica_batch);
-
-            let compute_forward =
-                (cg.macs_fwd * c_mac * mac_scale + cg.nonlin_fwd * c_nonlin * nonlin_scale)
-                    / workers;
-            let compute_backward = (bwd_c * cg.macs_fwd * c_mac * mac_scale
-                + opts.backward_nonlin_factor * cg.nonlin_fwd * c_nonlin * nonlin_scale)
-                / workers;
-            let weight_update =
-                opts.weight_update_factor * cg.weights * c_mac * param_scale / workers;
-
-            let mut tp_comm = 0.0;
-            if p.tp_intra() > 1 {
-                let cost = intra.topology.cost(Collective::AllReduce, p.tp_intra());
-                tp_comm += comm_passes
-                    * stage_share
-                    * cost.time(
-                        cr.act_elems_tp * act_bits,
-                        intra.latency_s,
-                        intra.bandwidth_bits_per_sec,
-                    );
-            }
-            if p.tp_inter() > 1 {
-                let cost = inter.topology.cost(Collective::AllReduce, p.tp_inter());
-                tp_comm += comm_passes
-                    * stage_share
-                    * cost.time(cr.act_elems_tp * act_bits, inter.latency_s, inter_bw_tp_stream);
-            }
-
-            let mut moe_comm = 0.0;
-            if cr.act_elems_moe > 0.0 {
-                let nodes = self.system.num_nodes() as f64;
-                let cost = inter
-                    .topology
-                    .cost(Collective::AllToAll, self.system.num_nodes());
-                let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
-                let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
-                let bw_term = if nodes > 1.0 {
-                    2.0 * volume_bits
-                        * cost.factor
-                        * (1.0 / (nodes * intra.bandwidth_bits_per_sec)
-                            + (nodes - 1.0) / (nodes * inter_bw))
-                } else {
-                    2.0 * volume_bits / intra.bandwidth_bits_per_sec
-                };
-                moe_comm = comm_passes * stage_share * (latency_term + bw_term);
-            }
-
-            // The fused gradient all-reduce is attributed to layers by
-            // their share of the synchronized volume.
-            let dense_weights = cg.weights - cg.weights_expert;
-            let n_g = (dense_weights + cg.weights_expert / expert_parallel)
-                / (p.tp() as f64 * p.pp() as f64);
-            let dp_total =
-                estimate.breakdown.dp_comm_intra + estimate.breakdown.dp_comm_inter;
-            let dp_comm = if n_g_total > 0.0 {
-                dp_total * n_g / n_g_total
-            } else {
-                0.0
-            };
-
-            layers.push(LayerEstimate {
-                index,
-                kind,
-                compute_forward,
-                compute_backward,
-                weight_update,
-                tp_comm,
-                moe_comm,
-                dp_comm,
-            });
-        }
-
-        Ok(DetailedEstimate { estimate, layers })
+        self.kernel
+            .estimate_detailed(&mut EstimateCache::new(), self.parallelism, training)
     }
 }
 

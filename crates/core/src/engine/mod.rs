@@ -12,14 +12,13 @@ mod backend;
 mod batch;
 mod breakdown;
 mod cache;
-mod cached;
 mod detail;
 mod estimator;
 mod options;
 mod pool;
 
 pub use backend::{AnalyticalBackend, BreakdownFidelity, CostBackend, ObservedBackend, Scenario};
-pub use batch::BatchEvaluator;
+pub use batch::{BatchEvaluator, Prepared};
 pub use breakdown::{Breakdown, Estimate};
 pub use cache::EstimateCache;
 pub use pool::{context_key, CacheLease, CachePool};

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::accelerator::AcceleratorSpec;
 use crate::efficiency::EfficiencyModel;
-use crate::engine::{EngineOptions, Estimator};
+use crate::engine::{EngineOptions, Estimator, Scenario};
 use crate::error::Result;
 use crate::network::{Link, SystemSpec};
 use crate::parallelism::Parallelism;
@@ -114,6 +114,19 @@ impl<'a> SensitivityAnalysis<'a> {
             efficiency: EfficiencyModel::default(),
             options: EngineOptions::default(),
         }
+    }
+
+    /// Analyze `scenario` under its precision, efficiency and options.
+    pub fn from_scenario(scenario: &'a Scenario) -> Self {
+        SensitivityAnalysis::new(
+            &scenario.model,
+            &scenario.accelerator,
+            &scenario.system,
+            &scenario.parallelism,
+        )
+        .with_precision(scenario.precision)
+        .with_efficiency(scenario.efficiency.clone())
+        .with_options(scenario.options)
     }
 
     /// Override the efficiency model.

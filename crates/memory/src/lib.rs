@@ -38,7 +38,7 @@ mod kv;
 
 pub use kv::{KvCacheModel, KvCapacityFailure, KvFootprint, ServeBatchFit};
 
-use amped_core::{Parallelism, Precision, TransformerModel, ZeroStage};
+use amped_core::{Parallelism, Precision, Scenario, TransformerModel, ZeroStage};
 use serde::{Deserialize, Serialize};
 
 /// Optimizer state size per parameter, in bytes.
@@ -254,6 +254,14 @@ impl<'a> MemoryModel<'a> {
             schedule: PipelineSchedule::default(),
             recompute: RecomputePolicy::None,
         }
+    }
+
+    /// The memory model of `scenario`'s model and mapping under its
+    /// precision and activation-recompute option.
+    pub fn from_scenario(scenario: &'a Scenario) -> Self {
+        MemoryModel::new(&scenario.model, &scenario.parallelism)
+            .with_precision(scenario.precision)
+            .with_activation_recompute(scenario.options.activation_recompute)
     }
 
     /// Override the precision.

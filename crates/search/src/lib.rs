@@ -26,11 +26,12 @@
 //!   pool ([`SearchEngine::with_parallelism`]); rankings are sorted by a
 //!   total key (time, then parallelism degrees) so the result is identical
 //!   for any worker count.
-//! * **Memoization** — each worker carries an
-//!   [`EstimateCache`](amped_core::EstimateCache) so per-layer operation
-//!   counts, collective cost factors and other scenario-invariant
-//!   sub-results are computed once instead of per candidate
-//!   ([`SearchEngine::with_memoization`], on by default).
+//! * **Batched, memoized pricing** — each worker prices chunks of
+//!   candidates through one pass of the pricing kernel
+//!   ([`BatchEvaluator`](amped_core::BatchEvaluator)) against its own
+//!   [`EstimateCache`](amped_core::EstimateCache), so scenario-invariant
+//!   sub-results are computed once instead of per candidate, and a
+//!   closed-form memory solve drops microbatch variants that cannot win.
 //! * **Branch-and-bound pruning** — a compute-only lower bound lets
 //!   workers skip full evaluation of candidates that cannot beat the best
 //!   time seen so far ([`SearchEngine::with_pruning`]); the bound is exact
@@ -76,9 +77,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amped_core::{
-    AcceleratorSpec, BatchEvaluator, CacheLease, CachePool, CorrelatedResilience, CostBackend,
-    EfficiencyModel, ElasticParams, EngineOptions, Estimate, EstimateCache, Estimator,
-    FailureDomainTree, MicrobatchPolicy, Parallelism, Precision, ResilienceParams,
+    engine::Prepared, AcceleratorSpec, BatchEvaluator, CacheLease, CachePool,
+    CorrelatedResilience, CostBackend, EfficiencyModel, ElasticParams, EngineOptions, Estimate,
+    EstimateCache, FailureDomainTree, MicrobatchPolicy, Parallelism, Precision, ResilienceParams,
     ResilienceReport, Result, Scenario, SystemSpec, TrainingConfig, TransformerModel, ZeroConfig,
 };
 use amped_energy::{EnergyEstimate, PowerModel};
@@ -427,8 +428,6 @@ pub struct SearchEngine<'a> {
     tune_microbatches: bool,
     jobs: usize,
     prune: bool,
-    memoize: bool,
-    batch: bool,
     refine_sim: usize,
     goodput: Option<GoodputOptions>,
     fault_plan: Option<FaultPlan>,
@@ -440,7 +439,7 @@ pub struct SearchEngine<'a> {
 /// private fresh cache (the default) or a lease from a shared
 /// [`CachePool`], so a long-lived process can carry warmed sub-results
 /// across searches. Both are bit-identical to evaluate against (warming a
-/// cache never changes `estimate_cached` results), so attaching a pool is
+/// cache never changes a kernel result), so attaching a pool is
 /// as invisible to rankings as attaching an observer.
 enum WorkerCache<'pool> {
     Fresh(EstimateCache),
@@ -489,8 +488,6 @@ impl<'a> SearchEngine<'a> {
             tune_microbatches: true,
             jobs: 0,
             prune: false,
-            memoize: true,
-            batch: true,
             refine_sim: 0,
             goodput: None,
             fault_plan: None,
@@ -553,10 +550,10 @@ impl<'a> SearchEngine<'a> {
     /// Enable branch-and-bound pruning (default off): candidates whose
     /// compute-only lower bound exceeds the best total time seen so far
     /// skip full estimation, memory and energy accounting. The bound is
-    /// exact in f64 against the memoized estimation path (which pruning
-    /// therefore implies), so the pruned ranking is the truncation of the
-    /// full ranking to candidates with `lower_bound <= best_time` —
-    /// deterministic and always containing the optimum.
+    /// exact in f64 against the kernel's totals, so the pruned ranking is
+    /// the truncation of the full ranking to candidates with
+    /// `lower_bound <= best_time` — deterministic and always containing the
+    /// optimum.
     pub fn with_pruning(mut self, prune: bool) -> Self {
         self.prune = prune;
         self
@@ -635,43 +632,6 @@ impl<'a> SearchEngine<'a> {
     /// worker count.
     pub fn with_cache_pool(mut self, pool: Arc<CachePool>) -> Self {
         self.cache_pool = Some(pool);
-        self
-    }
-
-    /// Use the batched evaluation path (default on): workers price chunks
-    /// of candidates through
-    /// [`BatchEvaluator::estimate_many`](amped_core::BatchEvaluator), which
-    /// hoists scenario-invariant work out of the per-candidate loop and
-    /// replaces the per-variant memory re-runs with the closed-form
-    /// max-microbatch solve
-    /// ([`MemoryModel::solve_max_microbatch`](amped_memory::MemoryModel::solve_max_microbatch)).
-    /// Batched estimates are bit-identical to the scalar memoized loop at
-    /// any worker count (pinned by differential tests), so turning this
-    /// off — the scalar reference for those tests — only changes speed.
-    /// Batching requires the memoized path and is inert when both
-    /// memoization and pruning are off.
-    pub fn with_batching(mut self, batch: bool) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Whether searches run through the batched evaluation path: batching
-    /// enabled on an engine whose estimates go through the memoized path
-    /// (which the batch evaluator is bit-identical to — the unmemoized
-    /// reference differs by float associativity).
-    fn batching_active(&self) -> bool {
-        self.batch && (self.memoize || self.prune)
-    }
-
-    /// Use the memoized estimation path (default on): each worker carries
-    /// an [`EstimateCache`](amped_core::EstimateCache) so scenario-invariant
-    /// sub-results are computed once per search, not per candidate. Turning
-    /// it off (without pruning) evaluates through the original
-    /// [`Estimator::estimate`], the reference path for differential tests
-    /// and benchmarks; cached and uncached estimates agree to float
-    /// associativity (~1e-12 relative on deep stacks).
-    pub fn with_memoization(mut self, memoize: bool) -> Self {
-        self.memoize = memoize;
         self
     }
 
@@ -770,7 +730,7 @@ impl<'a> SearchEngine<'a> {
         let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
         let outcomes = {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.explore"));
-            self.explore_all(&mappings, training, &best_bits)
+            self.explore_all(&mappings, std::slice::from_ref(training), &best_bits)
         };
         let _rank_phase = self.observer.as_ref().map(|o| o.phase("search.rank"));
         let mut stats = SearchStats {
@@ -877,32 +837,27 @@ impl<'a> SearchEngine<'a> {
         Ok(())
     }
 
-    /// Explore every mapping over the worker pool, returning outcomes in
-    /// mapping order: chunked through the batch evaluator when batching is
-    /// active, the scalar per-candidate path otherwise. Both paths produce
-    /// bit-identical outcomes (pinned by differential tests); the chunk
-    /// size only shapes wall-clock.
+    /// Explore every mapping under each of `trainings` over the worker
+    /// pool, returning outcomes training-major, in mapping order. Workers
+    /// take contiguous chunks of mappings, each priced through one kernel
+    /// pass ([`SearchEngine::explore_chunk`]). Small enough chunks keep the
+    /// pool load-balanced (several chunks per worker), large enough ones
+    /// amortize the pass setup. The boundary cannot change results — only
+    /// the incumbent's tightening cadence, which the deterministic
+    /// post-filter normalizes.
     fn explore_all(
         &self,
         mappings: &[Parallelism],
-        training: &TrainingConfig,
+        trainings: &[TrainingConfig],
         best_bits: &AtomicU64,
     ) -> Vec<Result<Outcome>> {
-        if !self.batching_active() {
-            return self.run_parallel(mappings.len(), |cache, i| {
-                self.explore(cache, &mappings[i], training, best_bits)
-            });
-        }
-        // Small enough chunks keep the pool load-balanced (several chunks
-        // per worker), large enough ones amortize the batch setup. The
-        // boundary cannot change results — only the incumbent's tightening
-        // cadence, which the deterministic post-filter normalizes.
         let jobs = self.effective_jobs(mappings.len());
         let chunk = (mappings.len() / (4 * jobs)).clamp(1, 64);
         let n_chunks = mappings.len().div_ceil(chunk);
-        let chunks = self.run_parallel(n_chunks, |cache, ci| {
-            let start = ci * chunk;
+        let chunks = self.run_parallel(trainings.len() * n_chunks, |cache, i| {
+            let start = (i % n_chunks) * chunk;
             let end = (start + chunk).min(mappings.len());
+            let training = &trainings[i / n_chunks];
             Ok(self.explore_chunk(cache, &mappings[start..end], training, best_bits))
         });
         chunks
@@ -911,46 +866,11 @@ impl<'a> SearchEngine<'a> {
             .collect()
     }
 
-    /// Lower-bound, prune, evaluate and score one mapping against the
-    /// shared incumbent best time — the scalar exploration path.
-    fn explore(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-        best_bits: &AtomicU64,
-    ) -> Result<Outcome> {
-        let lower_bound = if self.prune {
-            let _span = self.observer.as_ref().map(|o| o.span("prune"));
-            let lb = self.candidate_lower_bound(cache, p, training)?;
-            // Total times are non-negative finite, for which the f64 bit
-            // pattern orders like the value — so the incumbent can live in
-            // an AtomicU64 and be tightened with fetch_min.
-            if lb > f64::from_bits(best_bits.load(Ordering::Relaxed)) {
-                return Ok(Outcome::Pruned);
-            }
-            lb
-        } else {
-            f64::NEG_INFINITY
-        };
-        let _span = self.observer.as_ref().map(|o| o.span("evaluate"));
-        match self.evaluate(cache, p, training)? {
-            Err(failure) => Ok(Outcome::Filtered(failure)),
-            Ok(candidate) => {
-                best_bits.fetch_min(candidate.objective_time().to_bits(), Ordering::Relaxed);
-                Ok(Outcome::Kept {
-                    lower_bound,
-                    candidate,
-                })
-            }
-        }
-    }
-
-    /// Explore a contiguous run of mappings through one
-    /// [`BatchEvaluator::estimate_many`] call: prune per mapping against
-    /// the incumbent, then price every surviving mapping's microbatch
-    /// variants in a single batch and fold each mapping's variants exactly
-    /// as the scalar path does.
+    /// Explore a contiguous run of mappings through one kernel pass: prune
+    /// each mapping against the shared incumbent best time, then price
+    /// every surviving mapping's microbatch variants in a single
+    /// [`Prepared::estimate_many`] call and fold each mapping's variants
+    /// into its winner.
     fn explore_chunk(
         &self,
         cache: &mut EstimateCache,
@@ -958,6 +878,11 @@ impl<'a> SearchEngine<'a> {
         training: &TrainingConfig,
         best_bits: &AtomicU64,
     ) -> Vec<Result<Outcome>> {
+        let evaluator = self.batch_evaluator();
+        let kernel = match evaluator.prepare(cache, training) {
+            Ok(kernel) => kernel,
+            Err(e) => return chunk.iter().map(|_| Err(e.clone())).collect(),
+        };
         let mut out: Vec<Option<Result<Outcome>>> = (0..chunk.len()).map(|_| None).collect();
         let mut lower_bounds = vec![f64::NEG_INFINITY; chunk.len()];
         let mut spans = vec![(0usize, 0usize); chunk.len()];
@@ -967,7 +892,10 @@ impl<'a> SearchEngine<'a> {
         for (i, p) in chunk.iter().enumerate() {
             if self.prune {
                 let _span = self.observer.as_ref().map(|o| o.span("prune"));
-                match self.candidate_lower_bound(cache, p, training) {
+                // Total times are non-negative finite, for which the f64
+                // bit pattern orders like the value — so the incumbent can
+                // live in an AtomicU64 and be tightened with fetch_min.
+                match self.candidate_lower_bound(&kernel, cache, p, training) {
                     Err(e) => {
                         out[i] = Some(Err(e));
                         continue;
@@ -985,7 +913,7 @@ impl<'a> SearchEngine<'a> {
             spans[i] = (start, len);
             plans[i] = Some((mem_model, solved));
         }
-        let estimates = self.batch_evaluator().estimate_many(cache, &batched, training);
+        let estimates = kernel.estimate_many(cache, &batched);
         for (i, plan) in plans.iter().enumerate() {
             if out[i].is_some() {
                 continue;
@@ -1125,137 +1053,31 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// The microbatch variants `evaluate` tries for one mapping: every
-    /// power-of-two microbatch size up to the replica batch when tuning is
-    /// on, the mapping's own policy otherwise.
-    fn microbatch_variants(&self, p: &Parallelism, training: &TrainingConfig) -> Vec<Parallelism> {
-        if !self.tune_microbatches {
-            return vec![*p];
-        }
-        let replica = (training.global_batch() / p.dp()).max(1);
-        let mut variants = Vec::new();
-        let mut ub = 1usize;
-        while ub <= replica {
-            variants.push(p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))));
-            ub *= 2;
-        }
-        variants
-    }
-
     /// The cheapest possible total time of any microbatch variant of `p`:
-    /// the minimum of the per-variant compute-only lower bounds (cheap —
-    /// O(layer kinds) per variant against the shared cache).
+    /// the kernel's lower bound over the whole tuning ladder (or `p`'s own
+    /// policy without tuning) — one TP floor and O(layer kinds) compute
+    /// work per rung.
     fn candidate_lower_bound(
         &self,
+        kernel: &Prepared<'_>,
         cache: &mut EstimateCache,
         p: &Parallelism,
         training: &TrainingConfig,
     ) -> Result<f64> {
-        let mut lb = f64::INFINITY;
-        for variant in self.microbatch_variants(p, training) {
-            let bound = Estimator::new(self.model, self.accel, self.system, &variant)
-                .with_precision(self.precision)
-                .with_efficiency(self.efficiency.clone())
-                .with_options(self.engine_options)
-                .compute_lower_bound(cache, training)?;
-            lb = lb.min(bound.get());
+        if self.tune_microbatches {
+            kernel.lower_bound(cache, ladder(p, training))
+        } else {
+            kernel.lower_bound(cache, [*p])
         }
-        Ok(lb)
     }
 
-    /// Evaluate one mapping: with tuning on, try every power-of-two
-    /// microbatch size and keep the fastest memory-feasible variant
+    /// Evaluate one mapping: with tuning on, price its microbatch variants
+    /// in one kernel call and keep the fastest memory-feasible one
     /// (fastest overall if nothing fits and the filter is off). When the
     /// filter rejects every variant, report which capacity inequality
-    /// failed first (classified at the smallest microbatch, the mapping's
-    /// most feasible point — matching the closed-form solve's verdict).
-    ///
-    /// Pruning requires estimates the lower bound is exact against, so it
-    /// forces the memoized path even when memoization is off.
-    fn evaluate(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-    ) -> Result<Scored> {
-        let use_cache = self.memoize || self.prune;
-        let mut best: Option<Candidate> = None;
-        let mut first_failure: Option<CapacityFailure> = None;
-        for variant in self.microbatch_variants(p, training) {
-            let estimator = Estimator::new(self.model, self.accel, self.system, &variant)
-                .with_precision(self.precision)
-                .with_efficiency(self.efficiency.clone())
-                .with_options(self.engine_options);
-            let estimate = if use_cache {
-                estimator.estimate_cached(cache, training)?
-            } else {
-                estimator.estimate(training)?
-            };
-            let mem_model = MemoryModel::new(self.model, &variant)
-                .with_precision(self.precision)
-                .with_optimizer(self.optimizer.clone())
-                .with_schedule(self.schedule)
-                .with_activation_recompute(self.engine_options.activation_recompute);
-            let memory = mem_model.footprint(estimate.microbatch_size, estimate.num_microbatches);
-            let fits_memory = memory.total() <= self.accel.memory_bytes();
-            if self.require_memory_fit && !fits_memory {
-                if first_failure.is_none() {
-                    first_failure = Some(memory.capacity_failure(self.accel.memory_bytes()));
-                }
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                // Prefer fitting candidates, then faster ones.
-                Some(b) => {
-                    (fits_memory, std::cmp::Reverse(estimate.total_time.get()))
-                        > (b.fits_memory, std::cmp::Reverse(b.estimate.total_time.get()))
-                }
-            };
-            if better {
-                let energy =
-                    EnergyEstimate::from_estimate(&estimate, &self.power, training.num_batches());
-                best = Some(Candidate {
-                    parallelism: variant,
-                    estimate,
-                    memory,
-                    energy,
-                    fits_memory,
-                    refined: None,
-                    resilience: None,
-                });
-            }
-        }
-        let Some(mut candidate) = best else {
-            return Ok(Err(first_failure
-                .expect("a mapping with no retained variant had a rejected one")));
-        };
-        if let Some(goodput) = &self.goodput {
-            candidate.resilience = Some(self.resilience_report(goodput, &candidate)?);
-        }
-        Ok(Ok(Box::new(candidate)))
-    }
-
-    /// Evaluate one mapping through the configured path: batched when
-    /// batching is active, the scalar per-variant loop otherwise. The
-    /// sweep grid evaluates through this dispatcher.
-    pub(crate) fn evaluate_cell(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        training: &TrainingConfig,
-    ) -> Result<Scored> {
-        if self.batching_active() {
-            self.evaluate_mapping_batched(cache, p, training)
-        } else {
-            self.evaluate(cache, p, training)
-        }
-    }
-
-    /// Evaluate one mapping's microbatch variants through the batch
-    /// evaluator — [`SearchEngine::evaluate`] semantics, bit-identical
-    /// results, one `estimate_many` call instead of a per-variant loop.
-    fn evaluate_mapping_batched(
+    /// failed first, classified at the smallest microbatch — the mapping's
+    /// most feasible point. The sweep grid evaluates through this.
+    pub(crate) fn evaluate_mapping(
         &self,
         cache: &mut EstimateCache,
         p: &Parallelism,
@@ -1288,9 +1110,9 @@ impl<'a> SearchEngine<'a> {
     ///   one — and are not worth pricing;
     /// * when nothing fits and the memory filter is on, the mapping will be
     ///   rejected whatever the estimates say — one variant is still priced
-    ///   so engine-level validation errors propagate exactly as the scalar
-    ///   path propagates them (estimate errors depend only on the mapping
-    ///   and engine configuration, never on the microbatch count).
+    ///   so engine-level validation errors propagate (estimate errors
+    ///   depend only on the mapping and engine configuration, never on the
+    ///   microbatch count).
     ///
     /// Without tuning the single variant carries its own policy, which
     /// need not be a ladder point — no solve, direct footprints instead.
@@ -1315,29 +1137,24 @@ impl<'a> SearchEngine<'a> {
             p.replica_batch(training.global_batch()),
             self.accel.memory_bytes(),
         );
-        let limit = match &solved {
-            Ok(fit) => Some(fit.ladder_index as usize),
-            Err(_) if self.require_memory_fit => Some(0),
-            Err(_) => None,
+        let rungs = match &solved {
+            Ok(fit) => fit.ladder_index as usize + 1,
+            Err(_) if self.require_memory_fit => 1,
+            Err(_) => usize::MAX,
         };
-        let mut len = 0usize;
-        let mut ub = 1usize;
-        while ub <= replica && limit.is_none_or(|l| len <= l) {
-            out.push(p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))));
-            len += 1;
-            ub *= 2;
-        }
-        (len, Some(solved))
+        let start = out.len();
+        out.extend(ladder(p, training).take(rungs));
+        (out.len() - start, Some(solved))
     }
 
     /// Fold one mapping's already-priced microbatch variants into its
-    /// winning candidate, replicating the scalar [`SearchEngine::evaluate`]
-    /// fold exactly. Memory feasibility comes from the closed-form
-    /// max-microbatch solve done by [`SearchEngine::plan_variants`] — one
-    /// solve per mapping instead of one footprint per variant (variant `k`
-    /// of the tuning ladder fits iff `k <= MicrobatchFit::ladder_index`,
-    /// since feasibility is a prefix of the ladder; the winner's stored
-    /// footprint is computed once at the end).
+    /// winning candidate on `(fits, −time)`. Memory feasibility comes from
+    /// the closed-form max-microbatch solve done by
+    /// [`SearchEngine::plan_variants`] — one solve per mapping instead of
+    /// one footprint per variant (variant `k` of the tuning ladder fits iff
+    /// `k <= MicrobatchFit::ladder_index`, since feasibility is a prefix of
+    /// the ladder; the winner's stored footprint is computed once at the
+    /// end).
     fn score_mapping(
         &self,
         mem_model: &MemoryModel<'_>,
@@ -1459,14 +1276,13 @@ impl<'a> SearchEngine<'a> {
     /// The fastest candidate, or `None` when every mapping was filtered out.
     ///
     /// Since only the optimum is returned — and the lower bound never
-    /// prunes the optimum — pruning is forced on whenever the memoized path
-    /// (whose totals the bound is exact against) is in use anyway.
+    /// prunes the optimum — pruning is always on here.
     ///
     /// # Errors
     ///
     /// Propagates estimator errors.
     pub fn best(&self, training: &TrainingConfig) -> Result<Option<Candidate>> {
-        let engine = self.clone().with_pruning(self.prune || self.memoize);
+        let engine = self.clone().with_pruning(true);
         Ok(engine.search(training)?.into_iter().next())
     }
 
@@ -1476,11 +1292,12 @@ impl<'a> SearchEngine<'a> {
     /// may harm convergence — the caller owns that judgement (the paper
     /// assumes "minimal impact" up to 16384).
     ///
-    /// The batch × mapping grid is evaluated by one worker pool with a
-    /// single incumbent best time shared across batches, so with pruning a
-    /// strong early batch cheapens every later one. Ties go to the earlier
-    /// batch, then the parallelism degrees (a total order — the winner is
-    /// deterministic for every worker count).
+    /// The batch × mapping grid is explored by one worker pool — one chunk
+    /// run per batch — with a single incumbent best time shared across
+    /// batches, so a strong early batch cheapens every later one through
+    /// pruning. Ties go to the earlier batch, then the parallelism degrees
+    /// (a total order — the winner is deterministic for every worker
+    /// count).
     ///
     /// # Errors
     ///
@@ -1492,20 +1309,17 @@ impl<'a> SearchEngine<'a> {
         seq_len: usize,
         token_budget: f64,
     ) -> Result<Option<(usize, Candidate)>> {
-        let engine = self.clone().with_pruning(self.prune || self.memoize);
+        let engine = self.clone().with_pruning(true);
         let mut trainings = Vec::with_capacity(batches.len());
         for &batch in batches {
-            trainings.push((batch, TrainingConfig::from_tokens(batch, seq_len, token_budget)?));
+            trainings.push(TrainingConfig::from_tokens(batch, seq_len, token_budget)?);
         }
         let mappings = enumerate_mappings(engine.system, engine.model, &engine.enumeration);
         if trainings.is_empty() || mappings.is_empty() {
             return Ok(None);
         }
         let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = engine.run_parallel(trainings.len() * mappings.len(), |cache, i| {
-            let (batch_idx, map_idx) = (i / mappings.len(), i % mappings.len());
-            engine.explore(cache, &mappings[map_idx], &trainings[batch_idx].1, &best_bits)
-        });
+        let outcomes = engine.explore_all(&mappings, &trainings, &best_bits);
         let mut best: Option<(usize, Candidate)> = None; // (batch index, candidate)
         let mut counts = [0u64; 3]; // pruned, memory-rejected, kept
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -1552,8 +1366,19 @@ impl<'a> SearchEngine<'a> {
             obs.add("search.candidates.kept", counts[2]);
             obs.add("search.candidates.evaluated", counts[1] + counts[2]);
         }
-        Ok(best.map(|(batch_idx, c)| (trainings[batch_idx].0, c)))
+        Ok(best.map(|(batch_idx, c)| (batches[batch_idx], c)))
     }
+}
+
+/// The microbatch tuning ladder of `p`: one variant per power-of-two
+/// microbatch size up to the replica batch — trial microbatch `2^k`, the
+/// ladder of the closed-form memory solve.
+fn ladder(p: &Parallelism, training: &TrainingConfig) -> impl Iterator<Item = Parallelism> {
+    let p = *p;
+    let replica = (training.global_batch() / p.dp()).max(1);
+    std::iter::successors(Some(1usize), |ub| ub.checked_mul(2))
+        .take_while(move |&ub| ub <= replica)
+        .map(move |ub| p.with_microbatches(MicrobatchPolicy::Explicit(replica.div_ceil(ub))))
 }
 
 /// Indices of the Pareto-optimal candidates under
@@ -1583,7 +1408,7 @@ pub fn pareto_front(candidates: &[Candidate]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amped_core::Link;
+    use amped_core::{Estimator, Link};
 
     fn system(nodes: usize, per_node: usize) -> SystemSpec {
         SystemSpec::new(
@@ -1847,29 +1672,27 @@ mod tests {
     }
 
     #[test]
-    fn memoized_search_matches_unmemoized_reference() {
+    fn memoized_search_matches_fresh_cache_estimates() {
+        // Every ranked estimate comes out of warm per-worker caches; pricing
+        // the same variant against a fresh cache gives the same bits.
         let m = model();
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
-        let fast = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .search(&training)
-            .unwrap();
-        let reference = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_memoization(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
-        assert_eq!(fast.len(), reference.len());
-        for (x, y) in fast.iter().zip(&reference) {
-            assert_eq!(parallelism_key(&x.parallelism), parallelism_key(&y.parallelism));
-            let (tx, ty) = (x.estimate.total_time.get(), y.estimate.total_time.get());
-            assert!(
-                (tx - ty).abs() <= 1e-9 * ty.abs(),
-                "cached {tx} vs plain {ty} for {:?}",
-                x.parallelism
+        let engine =
+            SearchEngine::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.5));
+        let ranked = engine.search(&training).unwrap();
+        assert_identical_candidates(&brute_force(&engine, &training).0, &ranked);
+        for c in &ranked {
+            let fresh = Estimator::new(&m, &a, &sys, &c.parallelism)
+                .with_efficiency(EfficiencyModel::Constant(0.5))
+                .estimate(&training)
+                .unwrap();
+            assert_eq!(
+                c.estimate.total_time.get().to_bits(),
+                fresh.total_time.get().to_bits(),
+                "{:?}",
+                c.parallelism
             );
         }
     }
@@ -2161,8 +1984,105 @@ mod tests {
         }
     }
 
+    /// The reference the batched explorer is checked against: every
+    /// mapping's whole tuning ladder priced one rung at a time through
+    /// `estimate_cached`, sized with `MemoryModel::footprint`, and folded on
+    /// `(fits, −time)` — no closed-form truncation, no chunking, no pruning.
+    fn brute_force(
+        engine: &SearchEngine<'_>,
+        training: &TrainingConfig,
+    ) -> (Vec<Candidate>, SearchStats) {
+        let mut cache = EstimateCache::new();
+        let capacity = engine.accel.memory_bytes();
+        let mappings = enumerate_mappings(engine.system, engine.model, &engine.enumeration);
+        let mut stats = SearchStats {
+            generated: mappings.len() as u64,
+            ..SearchStats::default()
+        };
+        let mut ranked = Vec::new();
+        for p in &mappings {
+            let variants: Vec<Parallelism> = if engine.tune_microbatches {
+                ladder(p, training).collect()
+            } else {
+                vec![*p]
+            };
+            let mut best: Option<Candidate> = None;
+            let mut first_failure = None;
+            for variant in variants {
+                let estimate = Estimator::new(engine.model, engine.accel, engine.system, &variant)
+                    .with_precision(engine.precision)
+                    .with_efficiency(engine.efficiency.clone())
+                    .with_options(engine.engine_options)
+                    .estimate_cached(&mut cache, training)
+                    .unwrap();
+                let memory = engine
+                    .memory_model(&variant)
+                    .footprint(estimate.microbatch_size, estimate.num_microbatches);
+                let fits_memory = memory.total() <= capacity;
+                if engine.require_memory_fit && !fits_memory {
+                    first_failure.get_or_insert(memory.capacity_failure(capacity));
+                    continue;
+                }
+                let better = best.as_ref().is_none_or(|b| {
+                    (fits_memory, std::cmp::Reverse(estimate.total_time.get()))
+                        > (b.fits_memory, std::cmp::Reverse(b.estimate.total_time.get()))
+                });
+                if better {
+                    let energy = EnergyEstimate::from_estimate(
+                        &estimate,
+                        &engine.power,
+                        training.num_batches(),
+                    );
+                    best = Some(Candidate {
+                        parallelism: variant,
+                        estimate,
+                        memory,
+                        energy,
+                        fits_memory,
+                        refined: None,
+                        resilience: None,
+                    });
+                }
+            }
+            match best {
+                None => stats
+                    .memory_rejected
+                    .record(first_failure.expect("a mapping with no winner had a rejected rung")),
+                Some(mut c) => {
+                    if let Some(goodput) = &engine.goodput {
+                        c.resilience = Some(engine.resilience_report(goodput, &c).unwrap());
+                    }
+                    ranked.push(c);
+                }
+            }
+        }
+        stats.kept = ranked.len() as u64;
+        ranked.sort_by(candidate_order);
+        (ranked, stats)
+    }
+
+    /// `brute_force`'s ranking cut to what a pruned search keeps: the
+    /// candidates whose lower bound does not exceed the best objective.
+    fn brute_force_pruned(engine: &SearchEngine<'_>, training: &TrainingConfig) -> Vec<Candidate> {
+        let (ranked, _) = brute_force(engine, training);
+        let best = ranked
+            .iter()
+            .map(Candidate::objective_time)
+            .fold(f64::INFINITY, f64::min);
+        let evaluator = engine.batch_evaluator();
+        let mut cache = EstimateCache::new();
+        let kernel = evaluator.prepare(&mut cache, training).unwrap();
+        ranked
+            .into_iter()
+            .filter(|c| {
+                let p = &c.parallelism;
+                engine.candidate_lower_bound(&kernel, &mut cache, p, training).unwrap() <= best
+            })
+            .collect()
+    }
+
     /// Every candidate field the batched path assembles, compared bitwise
-    /// against the scalar reference — stricter than
+    /// against the brute-force reference — stricter than
     /// `assert_identical_rankings`.
     fn assert_identical_candidates(a: &[Candidate], b: &[Candidate]) {
         assert_eq!(a.len(), b.len());
@@ -2198,31 +2118,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_is_bit_identical_to_scalar_at_any_worker_count() {
+    fn batched_search_is_bit_identical_to_brute_force_at_any_worker_count() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let (reference, _) = brute_force(&base, &training);
         for jobs in [1, 4] {
             let batched = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&reference, &batched);
         }
     }
 
     #[test]
-    fn batched_search_matches_scalar_under_memory_filter_and_goodput() {
+    fn batched_search_matches_brute_force_under_memory_filter_and_goodput() {
         let m = model();
         let a = accel();
         let sys = system(1, 2); // tight memory: the filter really rejects
@@ -2231,25 +2146,20 @@ mod tests {
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_memory_filter(true)
             .with_goodput(GoodputOptions::new(1e6));
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let (reference, _) = brute_force(&base, &training);
         for jobs in [1, 4] {
             let batched = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&reference, &batched);
         }
-        assert!(scalar.iter().all(|c| c.resilience.is_some()));
+        assert!(reference.iter().all(|c| c.resilience.is_some()));
     }
 
     #[test]
-    fn batched_pruned_search_matches_scalar_pruned() {
+    fn batched_pruned_search_matches_brute_force_pruned() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
@@ -2257,19 +2167,14 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_pruning(true);
-        let scalar = base
-            .clone()
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let reference = brute_force_pruned(&base, &training);
         for jobs in [1, 4] {
             let batched = base
                 .clone()
                 .with_parallelism(jobs)
                 .search(&training)
                 .unwrap();
-            assert_identical_candidates(&scalar, &batched);
+            assert_identical_candidates(&reference, &batched);
         }
     }
 
@@ -2279,23 +2184,16 @@ mod tests {
         let a = accel();
         let sys = system(4, 8);
         let training = TrainingConfig::new(512, 10).unwrap();
-        let scalar = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_batching(false)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
+        let base = SearchEngine::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.5));
+        let (reference, _) = brute_force(&base, &training);
         let pool = Arc::new(CachePool::new());
-        let pooled = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_cache_pool(pool.clone())
-            .with_parallelism(4);
-        // Cold pool, then warm pool: both bit-identical to the scalar
-        // reference — batch fills caches with the same entries scalar would.
+        let pooled = base.with_cache_pool(pool.clone()).with_parallelism(4);
+        // Cold pool, then warm pool: both bit-identical to the reference —
+        // warming a cache never changes a kernel result.
         let cold = pooled.search(&training).unwrap();
-        assert_identical_candidates(&scalar, &cold);
+        assert_identical_candidates(&reference, &cold);
         let warm = pooled.search(&training).unwrap();
-        assert_identical_candidates(&scalar, &warm);
+        assert_identical_candidates(&reference, &warm);
     }
 
     #[test]
@@ -2317,12 +2215,10 @@ mod tests {
             stats.memory_rejected.total() > 0,
             "a 2-device cluster cannot fit every mapping of a 4096-hidden model"
         );
-        // The scalar path classifies rejections identically.
-        let (_, scalar_stats) = base
-            .with_batching(false)
-            .search_with_stats(&training)
-            .unwrap();
-        assert_eq!(stats, scalar_stats);
+        // The closed-form solve classifies rejections exactly as sizing
+        // every rung does.
+        let (_, reference_stats) = brute_force(&base, &training);
+        assert_eq!(stats, reference_stats);
         // Without the filter nothing is memory-rejected.
         let (_, open) = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))

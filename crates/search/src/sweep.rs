@@ -320,7 +320,7 @@ impl<'a> SearchEngine<'a> {
         training: &TrainingConfig,
     ) -> Result<Candidate> {
         let mut cache = amped_core::EstimateCache::new();
-        match self.evaluate_cell(&mut cache, mapping, training)? {
+        match self.evaluate_mapping(&mut cache, mapping, training)? {
             Ok(candidate) => Ok(*candidate),
             Err(failure) => Err(amped_core::Error::incompatible(format!(
                 "mapping was filtered out (exceeds device memory under every microbatch size; \
@@ -340,7 +340,7 @@ impl<'a> SearchEngine<'a> {
         let cols = trainings.len();
         let results = self.run_parallel(mappings.len() * cols, |cache, i| {
             let (row, col) = (i / cols.max(1), i % cols.max(1));
-            match self.evaluate_cell(cache, &mappings[row].1, &trainings[col])? {
+            match self.evaluate_mapping(cache, &mappings[row].1, &trainings[col])? {
                 Ok(candidate) => Ok(*candidate),
                 Err(failure) => Err(amped_core::Error::incompatible(format!(
                     "mapping was filtered out (exceeds device memory under every microbatch \

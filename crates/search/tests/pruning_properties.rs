@@ -1,14 +1,12 @@
-//! Property test for the branch-and-bound invariant: the lower bound
-//! (compute plus the variant-invariant TP-communication floor) never
-//! exceeds the full estimate, for any valid mapping of a random scenario.
-//! Against the memoized path the inequality must hold EXACTLY in f64 (that
-//! is what makes pruning lossless); against the uncached reference path,
-//! which sums in a different association, it holds up to float
-//! associativity.
+//! Property test for the branch-and-bound invariant: the kernel's lower
+//! bound (compute plus the variant-invariant TP-communication floor) never
+//! exceeds the kernel's full estimate, for any valid mapping of a random
+//! scenario. The inequality must hold EXACTLY in f64 — that is what makes
+//! pruning lossless.
 
 use amped_core::{
-    AcceleratorSpec, EfficiencyModel, EngineOptions, EstimateCache, Estimator, Link, MoeConfig,
-    SystemSpec, TrainingConfig, TransformerModel,
+    AcceleratorSpec, BatchEvaluator, EfficiencyModel, EngineOptions, EstimateCache, Link,
+    MoeConfig, SystemSpec, TrainingConfig, TransformerModel,
 };
 use amped_search::{enumerate_mappings, EnumerationOptions};
 use proptest::prelude::*;
@@ -67,29 +65,22 @@ proptest! {
         let mappings = enumerate_mappings(&system, &model, &EnumerationOptions::default());
         prop_assert!(!mappings.is_empty());
         let mut cache = EstimateCache::new();
+        let evaluator = BatchEvaluator::new(&model, &accel, &system)
+            .with_efficiency(efficiency)
+            .with_options(options);
+        let kernel = evaluator.prepare(&mut cache, &training).expect("valid shared inputs");
         for p in &mappings {
-            let estimator = Estimator::new(&model, &accel, &system, p)
-                .with_efficiency(efficiency.clone())
-                .with_options(options);
-            let lb = estimator.compute_lower_bound(&mut cache, &training);
-            let Ok(lb) = lb else { continue };
-            let cached = estimator
-                .estimate_cached(&mut cache, &training)
+            let Ok(lb) = kernel.lower_bound(&mut cache, [*p]) else { continue };
+            let cached = kernel
+                .estimate_many(&mut cache, std::slice::from_ref(p))
+                .remove(0)
                 .expect("bound computed, so the estimate must too");
-            let plain = estimator.estimate(&training).expect("same");
-            // Exact against the memoized path the pruner compares with:
             prop_assert!(
-                lb.get() <= cached.total_time.get(),
-                "lb {} > cached total {} for {:?}",
-                lb.get(), cached.total_time.get(), p
+                lb <= cached.total_time.get(),
+                "lb {} > total {} for {:?}",
+                lb, cached.total_time.get(), p
             );
-            // Up to associativity against the uncached reference:
-            prop_assert!(
-                lb.get() <= plain.total_time.get() * (1.0 + 1e-9),
-                "lb {} > plain total {} for {:?}",
-                lb.get(), plain.total_time.get(), p
-            );
-            prop_assert!(lb.get() >= 0.0);
+            prop_assert!(lb >= 0.0);
             // The bound's TP floor is built from the very terms the
             // estimate reports (they are microbatch-variant-invariant), so
             // the stronger inequality also holds exactly in f64: the bound
@@ -99,9 +90,9 @@ proptest! {
             let floor = (b.compute_total() + (b.tp_comm_intra + b.tp_comm_inter))
                 * training.num_batches() as f64;
             prop_assert!(
-                lb.get() <= floor,
+                lb <= floor,
                 "lb {} > compute+TP floor {} for {:?}",
-                lb.get(), floor, p
+                lb, floor, p
             );
         }
     }

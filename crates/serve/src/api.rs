@@ -442,7 +442,6 @@ fn engine_for<'a>(
         .with_enumeration(EnumerationOptions::default())
         .with_parallelism(param_or(req, "jobs", 0)?)
         .with_pruning(param_switch(req, "prune"))
-        .with_batching(!param_switch(req, "no-batch"))
         .with_memory_filter(param_switch(req, "memory-filter"))
         .with_refine_sim(param_or(req, "refine-sim", 0)?)
         .with_cache_pool(Arc::clone(&state.pool))

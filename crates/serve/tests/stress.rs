@@ -309,17 +309,21 @@ fn shutdown_endpoint_stops_the_server() {
 
 #[test]
 fn tiny_timeout_answers_504_without_wedging() {
-    // A deadline the pricing of a search cannot meet: the client gets 504,
-    // the server stays healthy and drains cleanly. The scalar path
-    // (`no-batch`) and a deep microbatch ladder keep the pricing safely
-    // over the 1 ms deadline regardless of how fast the batched fast
-    // path gets.
+    // A deadline a search cannot meet: the client gets 504, the server
+    // stays healthy and drains cleanly. The work is real and large: a
+    // 64-node cluster enumerates hundreds of mappings over a deep
+    // microbatch ladder, and the analytical top 8 are re-priced through the
+    // discrete-event simulator — safely over the 1 ms deadline however fast
+    // the pricing kernel gets.
     let server = start(1, 8, 1);
     let addr = server.addr;
-    let heavy = SCENARIO.replace("\"global_batch\": 64", "\"global_batch\": 65536");
+    let heavy = SCENARIO
+        .replace("\"nodes\": 2, \"accels_per_node\": 4", "\"nodes\": 64, \"accels_per_node\": 8")
+        .replace("\"dp\": [4, 2]", "\"dp\": [8, 64]")
+        .replace("\"global_batch\": 64", "\"global_batch\": 65536");
     let mut saw_timeout = false;
     for _ in 0..10 {
-        let (status, _body) = request(addr, "POST", "/v1/search?jobs=1&no-batch=1", &heavy);
+        let (status, _body) = request(addr, "POST", "/v1/search?jobs=1&refine-sim=8", &heavy);
         assert!(status == 200 || status == 504, "unexpected status {status}");
         if status == 504 {
             saw_timeout = true;

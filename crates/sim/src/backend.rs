@@ -132,10 +132,7 @@ impl SimBackend {
         let ub = p.microbatch_size(global_batch);
         let n_ub = p.num_microbatches(global_batch);
         let gather_on_last_stage = matches!(self.schedule, PipelineSchedule::GPipe) && p.pp() > 1;
-        let mem = MemoryModel::new(&scenario.model, p)
-            .with_precision(scenario.precision)
-            .with_schedule(self.memory_schedule())
-            .with_activation_recompute(scenario.options.activation_recompute);
+        let mem = MemoryModel::from_scenario(scenario).with_schedule(self.memory_schedule());
         let stages = mem.stage_footprints(ub, n_ub, gather_on_last_stage);
         let capacity = scenario.accelerator.memory_bytes();
         let (worst_stage, worst) = stages
@@ -178,16 +175,7 @@ impl CostBackend for SimBackend {
         self.check_memory(scenario, training)?;
 
         let global_batch = training.global_batch();
-        let mut cfg = SimConfig::new(
-            &scenario.model,
-            &scenario.accelerator,
-            &scenario.system,
-            p,
-        )
-        .with_precision(scenario.precision)
-        .with_efficiency(scenario.efficiency.clone())
-        .with_options(scenario.options)
-        .with_schedule(self.schedule);
+        let mut cfg = SimConfig::from_scenario(scenario).with_schedule(self.schedule);
         if let Some(obs) = &self.observer {
             cfg = cfg.with_observer(obs.clone());
             if self.skip_device_samples {

@@ -8,7 +8,7 @@
 use amped_core::counts::LayerCounts;
 use amped_core::{
     AcceleratorSpec, EfficiencyModel, EngineOptions, Error, LayerKind, Parallelism, Precision,
-    Result, SystemSpec, TransformerModel,
+    Result, Scenario, SystemSpec, TransformerModel,
 };
 use amped_memory::MemoryModel;
 use amped_obs::{DeviceUtil, Observer};
@@ -189,6 +189,20 @@ impl<'a> SimConfig<'a> {
             observer: None,
             record_devices: true,
         }
+    }
+
+    /// A simulation of `scenario`'s model and mapping under its precision,
+    /// efficiency and engine options.
+    pub fn from_scenario(scenario: &'a Scenario) -> Self {
+        SimConfig::new(
+            &scenario.model,
+            &scenario.accelerator,
+            &scenario.system,
+            &scenario.parallelism,
+        )
+        .with_precision(scenario.precision)
+        .with_efficiency(scenario.efficiency.clone())
+        .with_options(scenario.options)
     }
 
     /// Record DES internals, run counters, and per-device busy fractions

@@ -50,18 +50,18 @@ trap 'rm -rf "$obs_dir"' EXIT
 cargo run -q --release --example validate_metrics -- \
     "$obs_dir/metrics.json" "$obs_dir/trace.json"
 
-echo "==> batched-vs-scalar smoke (--no-batch --json must be byte-identical)"
-# The batched evaluate_many fast path and the one-candidate-at-a-time
-# scalar path must render the exact same bytes, at any worker count.
+echo "==> training-search smoke (--jobs 1 and --jobs 4 --json must be byte-identical)"
+# Chunking, the worker pool and the shared pruning incumbent must never
+# change what the training search renders.
+./target/release/amped search --model mingpt-85m --accel v100 \
+    --nodes 2 --per-node 4 --batch 64 --top 5 --jobs 1 --memory-filter \
+    --json > "$obs_dir/search_j1.json"
 ./target/release/amped search --model mingpt-85m --accel v100 \
     --nodes 2 --per-node 4 --batch 64 --top 5 --jobs 4 --memory-filter \
-    --json > "$obs_dir/search_batched.json"
-./target/release/amped search --model mingpt-85m --accel v100 \
-    --nodes 2 --per-node 4 --batch 64 --top 5 --jobs 4 --memory-filter \
-    --json --no-batch > "$obs_dir/search_scalar.json"
-cmp "$obs_dir/search_batched.json" "$obs_dir/search_scalar.json" \
-    || { echo "batched smoke failed: --no-batch output differs"; exit 1; }
-echo "batched smoke ok: outputs byte-identical"
+    --json > "$obs_dir/search_j4.json"
+cmp "$obs_dir/search_j1.json" "$obs_dir/search_j4.json" \
+    || { echo "search smoke failed: output depends on --jobs"; exit 1; }
+echo "search smoke ok: outputs byte-identical"
 
 echo "==> serve smoke (daemon on an ephemeral port, one request per endpoint)"
 # Start the daemon on port 0, parse the listening line for the real port,

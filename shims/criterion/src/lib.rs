@@ -4,8 +4,7 @@
 //! `Criterion::bench_function`, `Bencher::iter`) so the workspace's benches
 //! compile and run without the real crate. Measurement is a simple
 //! warmup + timed-batch loop reporting mean/min wall-clock time — adequate
-//! for the before/after comparisons recorded in `BENCH_search.json`, not a
-//! statistical engine.
+//! for quick before/after comparisons, not a statistical engine.
 //!
 //! `--test` (as passed by `cargo bench -- --test`) runs every benchmark
 //! body exactly once with no measurement, which is what the bench smoke
