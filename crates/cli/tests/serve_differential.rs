@@ -116,11 +116,12 @@ fn cli_failure(args: &[&str]) -> String {
         .to_string()
 }
 
-/// Send one request and return `(status, payload)`.
+/// Send one request on a fresh connection that asks the server to close
+/// after answering (so EOF frames the response); return `(status, payload)`.
 fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let head = format!(
-        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
+        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes()).unwrap();

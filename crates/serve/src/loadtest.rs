@@ -2,10 +2,12 @@
 //! benchmark binary: replay N concurrent clients of mixed traffic against
 //! a live server and measure what the service actually delivers.
 //!
-//! Each client cycles through the compute endpoints (estimate, search,
-//! sweep, resilience — offset per client so the mix is concurrent, not
-//! phased), timing every request wall-to-wall on the client side into the
-//! same lock-free [`amped_obs::Histogram`] the server uses internally.
+//! Each client keeps one HTTP/1.1 connection open and cycles through the
+//! compute endpoints on it (estimate, search, sweep, resilience — offset
+//! per client so the mix is concurrent, not phased), timing every request
+//! wall-to-wall on the client side into the same lock-free
+//! [`amped_obs::Histogram`] the server uses internally. Reusing the
+//! connection keeps TCP set-up out of the measured latency.
 //! The report carries per-endpoint latency quantiles, overall request
 //! rate, error and backpressure (429) rates, and the server's cache hit
 //! rate computed from `serve.cache.*` counter deltas between two
@@ -110,6 +112,7 @@ pub fn run(config: &LoadTestConfig) -> Result<LoadTestReport> {
         let stats = Arc::clone(&stats);
         let config = config.clone();
         handles.push(std::thread::spawn(move || {
+            let mut conn = Conn::new(&config.addr);
             for i in 0..config.requests_per_client {
                 // Offset the cycle per client so every endpoint sees
                 // concurrent traffic from the first tick.
@@ -117,7 +120,7 @@ pub fn run(config: &LoadTestConfig) -> Result<LoadTestReport> {
                 let sep = if target.contains('?') { '&' } else { '?' };
                 let target = format!("{target}{sep}preset={}", config.preset);
                 let t0 = Instant::now();
-                match http_request(&config.addr, "POST", &target, &config.body) {
+                match conn.request("POST", &target, &config.body) {
                     Ok((status, _body)) => {
                         let us = t0.elapsed().as_micros() as u64;
                         stats.observe(name, us);
@@ -243,7 +246,7 @@ fn count_status(stats: &Observer, status: u16) {
 /// The server's `(serve.cache.hits, serve.cache.lookups)` counters right
 /// now, via `GET /v1/metrics` (absent counters read as 0).
 fn cache_counters(addr: &str) -> Result<(u64, u64)> {
-    let (status, body) = http_request(addr, "GET", "/v1/metrics", "")?;
+    let (status, body) = Conn::new(addr).request("GET", "/v1/metrics", "")?;
     if status != 200 {
         return Err(Error::io(
             addr,
@@ -261,37 +264,119 @@ fn cache_counters(addr: &str) -> Result<(u64, u64)> {
     Ok((counter("serve.cache.hits"), counter("serve.cache.lookups")))
 }
 
-/// A minimal one-shot HTTP/1.1 client over `std::net` (the server speaks
-/// `Connection: close`, so reading to EOF frames the response).
-fn http_request(addr: &str, method: &str, target: &str, body: &str) -> Result<(u16, String)> {
+/// A minimal HTTP/1.1 client connection over `std::net`: opened on first
+/// use, kept alive across requests while the server allows it, responses
+/// framed by `Content-Length`. A failed exchange drops the connection, and
+/// the next request opens a new one.
+struct Conn<'a> {
+    addr: &'a str,
+    stream: Option<TcpStream>,
+}
+
+impl<'a> Conn<'a> {
+    fn new(addr: &'a str) -> Self {
+        Conn { addr, stream: None }
+    }
+
+    /// Send one request and return `(status, body)`.
+    fn request(&mut self, method: &str, target: &str, body: &str) -> Result<(u16, String)> {
+        let addr = self.addr;
+        let io_err = |e: std::io::Error| Error::io(addr, e.to_string());
+        let stream = match &mut self.stream {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(addr).map_err(io_err)?;
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(120)))
+                    .map_err(io_err)?;
+                // Requests leave in one write; don't let Nagle delay them.
+                stream.set_nodelay(true).map_err(io_err)?;
+                self.stream.insert(stream)
+            }
+        };
+        let request = format!(
+            "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let reply = stream
+            .write_all(request.as_bytes())
+            .map_err(io_err)
+            .and_then(|()| read_response(stream, addr));
+        match &reply {
+            Ok((_, _, keep_alive)) if *keep_alive => {}
+            _ => self.stream = None,
+        }
+        reply.map(|(status, body, _)| (status, body))
+    }
+}
+
+/// Read one `Content-Length`-framed response: `(status, body, keep_alive)`,
+/// where `keep_alive` is false when the server announced
+/// `Connection: close`.
+fn read_response<R: Read>(stream: &mut R, addr: &str) -> Result<(u16, String, bool)> {
     let io_err = |e: std::io::Error| Error::io(addr, e.to_string());
-    let mut stream = TcpStream::connect(addr).map_err(io_err)?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .map_err(io_err)?;
-    let request = format!(
-        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).map_err(io_err)?;
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).map_err(io_err)?;
-    let text = String::from_utf8_lossy(&response);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
+    let malformed = |what: &str| Error::io(addr, format!("malformed response: {what}"));
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 8192];
+    let mut fill = |buf: &mut Vec<u8>| -> Result<()> {
+        let n = stream.read(&mut chunk).map_err(io_err)?;
+        if n == 0 {
+            return Err(malformed("connection closed mid-response"));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+        Ok(())
+    };
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        fill(&mut buf)?;
+    };
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| malformed("head is not UTF-8"))?;
+    let mut lines = head.split("\r\n");
+    let status: u16 = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::io(addr, "malformed response status line"))?;
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+        .ok_or_else(|| malformed("bad status line"))?;
+    let mut length = None;
+    let mut keep_alive = true;
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if name.trim().eq_ignore_ascii_case("content-length") {
+            length = value.trim().parse::<usize>().ok();
+        } else if name.trim().eq_ignore_ascii_case("connection") {
+            keep_alive = !value.trim().eq_ignore_ascii_case("close");
+        }
+    }
+    let body_end = length
+        .and_then(|n| n.checked_add(head_end + 4))
+        .ok_or_else(|| malformed("no usable Content-Length"))?;
+    while buf.len() < body_end {
+        fill(&mut buf)?;
+    }
+    let body = String::from_utf8_lossy(&buf[head_end + 4..body_end]).into_owned();
+    Ok((status, body, keep_alive))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn responses_are_framed_by_content_length() {
+        let read = |wire: &[u8]| read_response(&mut &wire[..], "test");
+        assert_eq!(
+            read(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}").unwrap(),
+            (200, "{}".to_string(), true)
+        );
+        assert_eq!(
+            read(b"HTTP/1.1 429 Too Many Requests\r\ncontent-length: 3\r\nConnection: close\r\n\r\nxyz")
+                .unwrap(),
+            (429, "xyz".to_string(), false)
+        );
+        assert!(read(b"HTTP/1.1 200 OK\r\n\r\nbody").is_err());
+        assert!(read(b"HTTP/1.1 200 OK\r\nContent-Length: 9\r\n\r\nbody").is_err());
+    }
 
     #[test]
     fn zero_sized_runs_are_rejected() {

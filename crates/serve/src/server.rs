@@ -2,14 +2,15 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop polls for connections and a shutdown
-//! signal. Each accepted connection gets a short-lived connection thread
-//! that parses the request and either answers it inline (health, metrics,
-//! shutdown — these must respond even under full load) or enqueues a job
-//! on the bounded queue and waits on the job's result slot. A fixed pool
-//! of worker threads drains the queue and runs the actual pricing. This
-//! split keeps slow model evaluations from ever blocking liveness probes,
-//! and makes backpressure a queue property instead of a thread-count one.
+//! One accept loop blocks in `accept()`. Each accepted connection gets a
+//! connection thread that serves its requests in turn (HTTP/1.1
+//! keep-alive, see [`crate::http`]): it parses a request and either
+//! answers it inline (health, metrics, shutdown — these must respond even
+//! under full load) or enqueues a job on the bounded queue and waits on
+//! the job's result slot. A fixed pool of worker threads drains the queue
+//! and runs the actual pricing. This split keeps slow model evaluations
+//! from ever blocking liveness probes, and makes backpressure a queue
+//! property instead of a thread-count one.
 //!
 //! # Backpressure contract
 //!
@@ -23,15 +24,18 @@
 //! # Shutdown
 //!
 //! SIGINT/SIGTERM (when enabled), `POST /v1/shutdown`, or
-//! [`ServerHandle::shutdown`] set one flag. The accept loop stops taking
-//! connections, the queue closes (drain semantics: queued jobs still
-//! run), workers finish and exit, and [`Server::run`] returns a
-//! [`ServeSummary`] of the session.
+//! [`ServerHandle::shutdown`] set one flag and then connect to the
+//! listener, which wakes the blocked accept. The accept loop drops that
+//! connection and stops taking new ones, the queue closes (drain
+//! semantics: queued jobs still run), connections idle between requests
+//! are closed, a response in progress is still written (with
+//! `Connection: close`), workers finish and exit, and [`Server::run`]
+//! returns a [`ServeSummary`] of the session.
 
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use amped_core::{Error, Result};
@@ -41,13 +45,17 @@ use crate::access::{AccessEntry, AccessLog};
 use crate::api::{self, Endpoint, ServiceState};
 use crate::http::{self, Request, Response};
 
-/// How long the accept loop sleeps when no connection is pending — the
-/// upper bound on shutdown-signal latency.
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
-
 /// Read/write timeouts on accepted connections, so a stalled peer can
-/// never wedge a connection thread across shutdown.
+/// never wedge a connection thread across shutdown. The read timeout also
+/// closes a kept-alive connection left idle this long.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How often the signal watcher checks for SIGINT/SIGTERM: the bound on
+/// signal-to-shutdown latency, off every request's path.
+const SIGNAL_POLL: Duration = Duration::from_millis(10);
+
+/// Give-up time for the self-connect that wakes the accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Server configuration (the CLI's `serve` flags).
 #[derive(Debug, Clone)]
@@ -112,13 +120,35 @@ impl std::fmt::Display for ServeSummary {
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    /// Where a self-connect reaches the listener.
+    addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// Ask the server to shut down gracefully (idempotent).
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the accept loop blocked in `accept()`: it sees the flag and
+        // drops this connection. Once the listener is gone the connect
+        // just fails.
+        let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
     }
+
+    fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+}
+
+/// The listener's address as a client reaches it: an unspecified bind IP
+/// (`0.0.0.0`, `::`) becomes loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// One queued compute request.
@@ -245,8 +275,8 @@ impl JobQueue {
 }
 
 /// SIGINT/SIGTERM handling in pure std: a C `signal` registration that
-/// flips a process-global flag the accept loop polls. Confined here so the
-/// rest of the crate stays free of unsafe code.
+/// flips a process-global flag [`watch_signals`] polls. Confined here so
+/// the rest of the crate stays free of unsafe code.
 mod signal {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -286,7 +316,7 @@ pub struct Server {
     listener: TcpListener,
     config: ServeConfig,
     state: Arc<ServiceState>,
-    shutdown: Arc<AtomicBool>,
+    handle: ServerHandle,
 }
 
 impl Server {
@@ -296,13 +326,17 @@ impl Server {
     ///
     /// Returns [`Error::Io`] when the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Server> {
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| Error::io(&config.addr, e.to_string()))?;
+        let io_err = |e: std::io::Error| Error::io(&config.addr, e.to_string());
+        let listener = TcpListener::bind(&config.addr).map_err(io_err)?;
+        let addr = wake_addr(listener.local_addr().map_err(io_err)?);
         Ok(Server {
             listener,
             config,
             state: Arc::new(ServiceState::new()),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            handle: ServerHandle {
+                shutdown: Arc::new(AtomicBool::new(false)),
+                addr,
+            },
         })
     }
 
@@ -326,9 +360,7 @@ impl Server {
     /// A handle that can shut the server down from another thread.
     #[must_use]
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        self.handle.clone()
     }
 
     /// Serve until shutdown (signal, `POST /v1/shutdown`, or
@@ -336,11 +368,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the listener cannot be polled.
+    /// Returns [`Error::Io`] when the listener fails to accept (after
+    /// draining what was already accepted).
     pub fn run(self) -> Result<ServeSummary> {
-        if self.config.handle_sigint {
-            signal::install();
-        }
         let workers = if self.config.jobs == 0 {
             std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
         } else {
@@ -353,10 +383,11 @@ impl Server {
             self.config.verbose,
         )?);
 
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::io(&self.config.addr, e.to_string()))?;
-
+        let watcher = self.config.handle_sigint.then(|| {
+            signal::install();
+            let handle = self.handle.clone();
+            std::thread::spawn(move || watch_signals(&handle))
+        });
         let mut worker_handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let queue = Arc::clone(&queue);
@@ -364,46 +395,65 @@ impl Server {
             worker_handles.push(std::thread::spawn(move || worker_loop(&queue, &state)));
         }
 
-        let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || signal::triggered() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let state = Arc::clone(&self.state);
-                    let queue = Arc::clone(&queue);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    let access = Arc::clone(&access);
-                    conn_handles.push(std::thread::spawn(move || {
-                        handle_connection(
-                            stream,
-                            &state,
-                            &queue,
-                            &shutdown,
-                            timeout,
-                            access.as_ref().as_ref(),
-                        );
-                    }));
-                    conn_handles.retain(|h| !h.is_finished());
+        // Each connection thread owns its stream; the loop keeps only a
+        // weak reference, so a finished connection closes at once and a
+        // live one can still be reached at drain.
+        let mut connections: Vec<(std::thread::JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
+        let accepted = loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.handle.shutdown.store(true, Ordering::SeqCst);
+                    break Err(Error::io(&self.config.addr, e.to_string()));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(Error::io(&self.config.addr, e.to_string())),
+            };
+            // Every shutdown path sets the flag before its self-connect
+            // wakes this accept; that connection, and any other arriving
+            // after the flag, is dropped unanswered.
+            if self.handle.is_shutting_down() {
+                break Ok(());
             }
-        }
+            // Responses go out in one write each; don't let Nagle hold
+            // one back waiting for the client's delayed ACK.
+            let _ = stream.set_nodelay(true);
+            let stream = Arc::new(stream);
+            let weak = Arc::downgrade(&stream);
+            let state = Arc::clone(&self.state);
+            let queue = Arc::clone(&queue);
+            let handle = self.handle.clone();
+            let access = Arc::clone(&access);
+            let thread = std::thread::spawn(move || {
+                handle_connection(
+                    &stream,
+                    &state,
+                    &queue,
+                    &handle,
+                    timeout,
+                    access.as_ref().as_ref(),
+                );
+            });
+            connections.retain(|(thread, _)| !thread.is_finished());
+            connections.push((thread, weak));
+        };
 
         // Graceful drain: no new jobs, queued ones finish, then workers
-        // exit and every waiting connection gets its answer.
+        // exit and every waiting connection gets its answer. Closing the
+        // read side ends connections idle between requests at once; one
+        // mid-request still writes its response.
         queue.close();
-        for handle in conn_handles {
+        for (_, stream) in &connections {
+            if let Some(stream) = stream.upgrade() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        for (thread, _) in connections {
+            let _ = thread.join();
+        }
+        for handle in worker_handles.into_iter().chain(watcher) {
             let _ = handle.join();
         }
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
+        accepted?;
 
         let counters = self.state.observer.counters();
         let count = |name: &str| counters.get(name).copied().unwrap_or(0);
@@ -452,7 +502,7 @@ fn worker_loop(queue: &JobQueue, state: &ServiceState) {
     }
 }
 
-/// Decrements the in-flight count when a connection thread finishes,
+/// Decrements the in-flight count when a request's handling ends,
 /// whatever exit path it takes.
 struct InFlightGuard<'a>(&'a AtomicU64);
 
@@ -481,48 +531,78 @@ fn count_status(obs: &Observer, status: u16) {
     }
 }
 
-/// Connection thread: parse one request, route it, write one response,
-/// then account for it (status class counters, in-flight gauge, access
-/// log). All accounting is passive — response bytes never depend on it.
+/// Connection thread: serve requests off one connection in turn — parse,
+/// route, write the response, then account for it (status class
+/// counters, in-flight gauge, access log) — until the client or the
+/// server closes it. The connection closes after a request without
+/// keep-alive, a malformed request, or any response written once
+/// shutdown has begun. All accounting is passive — response bytes never
+/// depend on it.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: &TcpStream,
     state: &ServiceState,
     queue: &JobQueue,
-    shutdown: &AtomicBool,
+    handle: &ServerHandle,
     timeout: Duration,
     access: Option<&AccessLog>,
 ) {
     let _ = stream.set_read_timeout(Some(STREAM_TIMEOUT));
     let _ = stream.set_write_timeout(Some(STREAM_TIMEOUT));
-    let in_flight = state.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-    let _guard = InFlightGuard(&state.in_flight);
-    state
-        .observer
-        .gauge_max("serve.http.in_flight.max", in_flight as f64);
-    let request = match http::read_request(&mut stream) {
-        Ok(Ok(request)) => request,
-        Ok(Err(error_response)) => {
-            // Malformed request: no endpoint to attribute, but the status
-            // classes still count it.
-            count_status(&state.observer, error_response.status);
-            let _ = http::write_response(&mut stream, &error_response);
+    let mut stream = stream;
+    // Bytes read but not yet parsed: the start of a pipelined request.
+    let mut pending = Vec::new();
+    loop {
+        let incoming = match http::read_request(&mut stream, &mut pending) {
+            Ok(Ok(incoming)) => incoming,
+            Ok(Err(error_response)) => {
+                // Malformed request: no endpoint to attribute, but the
+                // status classes still count it. The framing is lost, so
+                // the connection closes.
+                count_status(&state.observer, error_response.status);
+                let _ = http::write_response(&mut stream, &error_response, true);
+                return;
+            }
+            // The peer closed, vanished or idled out, or the server is
+            // draining: nobody left to answer.
+            Err(_) => return,
+        };
+        let in_flight = state.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        let _guard = InFlightGuard(&state.in_flight);
+        state
+            .observer
+            .gauge_max("serve.http.in_flight.max", in_flight as f64);
+        let request = &incoming.request;
+        let routed = route(state, queue, handle, timeout, request);
+        count_status(&state.observer, routed.response.status);
+        let close = !incoming.keep_alive || handle.is_shutting_down();
+        let written = http::write_response(&mut stream, &routed.response, close);
+        if let Some(log) = access {
+            log.log(&AccessEntry {
+                method: &request.method,
+                endpoint: &request.path,
+                status: routed.response.status,
+                bytes: routed.response.body.len(),
+                queue_us: routed.queue_us,
+                handler_us: routed.handler_us,
+            });
+        }
+        if close || written.is_err() {
             return;
         }
-        // Transport failure: nobody left to answer.
-        Err(_) => return,
-    };
-    let routed = route(state, queue, shutdown, timeout, &request);
-    count_status(&state.observer, routed.response.status);
-    let _ = http::write_response(&mut stream, &routed.response);
-    if let Some(log) = access {
-        log.log(&AccessEntry {
-            method: &request.method,
-            endpoint: &request.path,
-            status: routed.response.status,
-            bytes: routed.response.body.len(),
-            queue_us: routed.queue_us,
-            handler_us: routed.handler_us,
-        });
+    }
+}
+
+/// Turn SIGINT/SIGTERM into the same flag-and-wake as every other shutdown
+/// path. The handler itself only flips a flag: the interrupted `accept`
+/// restarts (`signal` installs with `SA_RESTART`), and the signal may
+/// land on any thread.
+fn watch_signals(handle: &ServerHandle) {
+    while !handle.is_shutting_down() {
+        if signal::triggered() {
+            handle.shutdown();
+            return;
+        }
+        std::thread::sleep(SIGNAL_POLL);
     }
 }
 
@@ -554,7 +634,7 @@ impl Routed {
 fn route(
     state: &ServiceState,
     queue: &JobQueue,
-    shutdown: &AtomicBool,
+    handle: &ServerHandle,
     timeout: Duration,
     request: &Request,
 ) -> Routed {
@@ -609,7 +689,7 @@ fn route(
             Routed::inline(response, start)
         }
         ("POST", "/v1/shutdown") => {
-            shutdown.store(true, Ordering::SeqCst);
+            handle.shutdown();
             Routed::inline(
                 Response::json(
                     serde_json::to_string_pretty(
@@ -689,5 +769,19 @@ fn dispatch_job(
                 handler_us: timing.handler_us.load(Ordering::Relaxed),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn wake_addr_reaches_an_unspecified_bind_through_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:8750"), "127.0.0.1:8750");
+        assert_eq!(wake("[::]:8750"), "[::1]:8750");
+        assert_eq!(wake("192.0.2.7:8750"), "192.0.2.7:8750");
+        assert_eq!(wake("127.0.0.1:0"), "127.0.0.1:0");
     }
 }

@@ -4,85 +4,16 @@
 //! endpoints never deadlock, a saturated queue visibly refuses work with
 //! 429, identical queries answer byte-identically regardless of which
 //! worker (and how warm a cache) served them, and after a graceful drain
-//! the metrics counters balance exactly.
+//! the metrics counters balance exactly. Every shutdown path returns from
+//! `Server::run` within a second, even with a kept-alive client idle.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
-use amped_serve::{ServeConfig, Server, ServerHandle};
-
-const SCENARIO: &str = r#"{
-    "model": { "preset": "mingpt-85m" },
-    "accelerator": { "preset": "v100" },
-    "system": { "nodes": 2, "accels_per_node": 4,
-                "intra_gbps": 2400.0, "inter_gbps": 100.0, "nics_per_node": 1 },
-    "parallelism": { "dp": [4, 2] },
-    "training": { "global_batch": 64, "num_batches": 10 }
-}"#;
-
-/// A running in-process server plus everything a test needs to talk to it
-/// and take it down.
-struct TestServer {
-    addr: SocketAddr,
-    handle: ServerHandle,
-    thread: std::thread::JoinHandle<amped_core::Result<amped_serve::ServeSummary>>,
-}
-
-fn start(jobs: usize, queue_depth: usize, timeout_ms: u64) -> TestServer {
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        jobs,
-        queue_depth,
-        timeout_ms,
-        handle_sigint: false,
-        ..ServeConfig::default()
-    })
-    .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr");
-    let handle = server.handle();
-    let thread = std::thread::spawn(move || server.run());
-    TestServer {
-        addr,
-        handle,
-        thread,
-    }
-}
-
-impl TestServer {
-    fn stop(self) -> amped_serve::ServeSummary {
-        self.handle.shutdown();
-        self.thread
-            .join()
-            .expect("server thread joins")
-            .expect("server run succeeds")
-    }
-}
-
-/// One raw HTTP exchange: returns `(status, body)`.
-fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "{method} {target} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let payload = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload)
-}
+use common::{at_eof, connect, exchange, request, start, SCENARIO};
 
 #[test]
 fn mixed_concurrent_load_is_deadlock_free_and_consistent() {
@@ -299,11 +230,7 @@ fn shutdown_endpoint_stops_the_server() {
     assert_eq!(status, 200);
     assert!(body.contains("shutting down"), "{body}");
 
-    let summary = server
-        .thread
-        .join()
-        .expect("server thread joins")
-        .expect("server run succeeds");
+    let summary = server.join();
     assert_eq!(summary.received, 0);
 }
 
@@ -336,4 +263,68 @@ fn tiny_timeout_answers_504_without_wedging() {
     let summary = server.stop();
     assert!(summary.timeouts > 0, "{summary}");
     assert_eq!(summary.received, summary.completed + summary.rejected + summary.timeouts);
+}
+
+/// The longest a shutdown may take to return from `Server::run` when no
+/// request is in progress.
+const SHUTDOWN_BOUND: Duration = Duration::from_secs(1);
+
+fn assert_balanced(summary: amped_serve::ServeSummary) {
+    assert_eq!(
+        summary.received,
+        summary.completed + summary.rejected + summary.timeouts,
+        "{summary}"
+    );
+}
+
+#[test]
+fn handle_shutdown_wakes_an_idle_accept() {
+    let server = start(1, 8, 30_000);
+    // One answered probe proves the loop runs; it then blocks in accept
+    // with nothing to accept.
+    let (status, _) = request(server.addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200);
+    let t0 = Instant::now();
+    let summary = server.stop();
+    assert!(t0.elapsed() < SHUTDOWN_BOUND, "took {:?}", t0.elapsed());
+    assert_eq!(summary.received, 0);
+    assert_balanced(summary);
+}
+
+#[test]
+fn handle_shutdown_does_not_wait_on_an_idle_kept_alive_connection() {
+    let server = start(1, 8, 30_000);
+    let mut client = connect(server.addr);
+    let reply = exchange(&mut client, "POST", "/v1/estimate", SCENARIO);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(!reply.closes(), "{}", reply.head);
+
+    // The client holds the connection open and sends nothing more.
+    let t0 = Instant::now();
+    let summary = server.stop();
+    assert!(t0.elapsed() < SHUTDOWN_BOUND, "took {:?}", t0.elapsed());
+    assert!(at_eof(&mut client), "drain must close the idle connection");
+    assert_eq!(summary.received, 1);
+    assert_eq!(summary.completed, 1);
+    assert_balanced(summary);
+}
+
+#[test]
+fn shutdown_endpoint_on_a_kept_alive_connection() {
+    let server = start(1, 8, 30_000);
+    let mut client = connect(server.addr);
+    let reply = exchange(&mut client, "POST", "/v1/estimate", SCENARIO);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let t0 = Instant::now();
+    let reply = exchange(&mut client, "POST", "/v1/shutdown", "");
+    assert_eq!(reply.status, 200);
+    assert!(reply.body.contains("shutting down"), "{}", reply.body);
+    assert!(reply.closes(), "{}", reply.head);
+    assert!(at_eof(&mut client));
+    let summary = server.join();
+    assert!(t0.elapsed() < SHUTDOWN_BOUND, "took {:?}", t0.elapsed());
+    assert_eq!(summary.received, 1);
+    assert_eq!(summary.completed, 1);
+    assert_balanced(summary);
 }

@@ -104,6 +104,27 @@ $client "$addr" POST /v1/resilience "$scenario" > "$serve_dir/resilience.json"
 $client "$addr" GET  /v1/metrics               > "$serve_dir/metrics.json"
 $client "$addr" GET  /v1/schema                > "$serve_dir/schema.json"
 
+# HTTP/1.1 keep-alive: two requests over one connection, both answered
+# 200, with no reconnect in between (an independent client: Python's
+# http.client drops its socket whenever the server closes).
+python3 - "$addr" "$scenario" <<'EOF'
+import http.client, sys
+host, port = sys.argv[1].rsplit(":", 1)
+body = open(sys.argv[2]).read()
+conn = http.client.HTTPConnection(host.strip("[]"), int(port), timeout=30)
+socks = []
+for method, path, payload in [("POST", "/v1/estimate", body), ("GET", "/v1/health", None)]:
+    conn.request(method, path, body=payload)
+    resp = conn.getresponse()
+    data = resp.read()
+    assert resp.status == 200, (path, resp.status, data[:200])
+    assert conn.sock is not None, f"{path}: server closed the connection"
+    socks.append(conn.sock)
+assert socks[0] is socks[1], "client reconnected between requests"
+conn.close()
+print("keep-alive smoke ok: two 200s over one connection")
+EOF
+
 echo "==> chaos smoke (correlated-outage scenario: CLI and daemon answer identical bytes)"
 # The spot-elastic fixture carries a failure_domains section (rack tree,
 # preemption, elastic regrow); the versioned resilience artifact must come
@@ -334,10 +355,16 @@ for line in lines:
 print(f"telemetry smoke: access log ok ({len(lines)} entries)")
 EOF
 
+# SIGINT wakes the blocked accept through the signal watcher; the daemon
+# must print its summary and exit within 2 s.
+sigint_start=$(date +%s%N)
 kill -INT "$serve_pid"
 wait "$serve_pid" || { echo "serve smoke failed: non-zero exit on SIGINT"; exit 1; }
+sigint_ms=$(( ($(date +%s%N) - sigint_start) / 1000000 ))
 grep -q 'amped-serve: served' "$serve_dir/serve.log" \
     || { echo "serve smoke failed: no shutdown summary"; cat "$serve_dir/serve.log"; exit 1; }
-echo "serve smoke ok: $(sed -n 's/^amped-serve: //p' "$serve_dir/serve.log")"
+[ "$sigint_ms" -le 2000 ] \
+    || { echo "serve smoke failed: SIGINT shutdown took ${sigint_ms} ms (limit 2000)"; exit 1; }
+echo "serve smoke ok: $(sed -n 's/^amped-serve: //p' "$serve_dir/serve.log") (SIGINT to exit: ${sigint_ms} ms)"
 
 echo "ci: all green"
