@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use amped_configs::pipeline::FlagReader;
 use amped_core::Error;
 
 /// Parsed command line: a subcommand, `--key value` flags and bare
@@ -56,18 +57,14 @@ impl Args {
         self.get(key).unwrap_or(default)
     }
 
-    /// Parse `--key` as `T`, or return `default` when absent.
+    /// Parse `--key` as `T`, or return `default` when absent, through
+    /// [`amped_serve::ops::parsed`], the one parameter parser.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Usage`] when the value does not parse.
     pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Error> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| Error::usage(format!("invalid value for --{key}: {v}"))),
-        }
+        Ok(amped_serve::ops::parsed(self, key)?.unwrap_or(default))
     }
 
     /// Whether the boolean switch `--key` was given.
@@ -94,6 +91,18 @@ impl Args {
             None => (v.parse().map_err(|_| bad())?, 1.5),
         };
         Ok(Some((count, factor)))
+    }
+}
+
+/// The parsed command line as the [`FlagReader`] the scenario pipeline
+/// and the operation layer read flags through.
+impl FlagReader for Args {
+    fn value(&self, key: &str) -> Option<String> {
+        self.get(key).map(String::from)
+    }
+
+    fn switch(&self, key: &str) -> bool {
+        Args::switch(self, key)
     }
 }
 

@@ -1,4 +1,14 @@
-//! Subcommand implementations for the `amped` binary.
+//! Subcommand implementations for the `amped` binary: the CLI transport.
+//!
+//! The six commands the HTTP service answers too — `estimate`, `infer`,
+//! `search`, `recommend`, `sweep` and `resilience` — run through
+//! [`amped_serve::ops`], the one operation layer: parameter parsing,
+//! scenario resolution, engine configuration and the `--json` artifacts
+//! all live there. This module keeps only what is the CLI's own:
+//! `--config` files, `--dump-resolved`, the `--metrics-out` /
+//! `--trace-out` / `-v` session, text tables, the `resilience --seed`
+//! replay, and the commands only the CLI has. Flags reach the shared
+//! layer through [`Args`]' `FlagReader` implementation.
 //!
 //! Every command returns `amped_core::Result<String>`: user mistakes become
 //! [`Error::Usage`], unreadable files become [`Error::Io`], and model-layer
@@ -6,22 +16,16 @@
 
 use std::sync::Arc;
 
-use amped_configs::pipeline::{FlagReader, FlagSet, Resolution, ScenarioDraft, Source};
+use amped_configs::pipeline::FlagSet;
 use amped_configs::registry;
-use amped_configs::scenario::{FailureDomainsSection, ResilienceSection, ResolvedScenario};
-use amped_core::{
-    AnalyticalBackend, CorrelatedReport, CorrelatedResilience, CostBackend, Error,
-    ObservedBackend, Parallelism, ResilienceReport, Result, DEFAULT_NODE_MTBF_HOURS,
-};
-use amped_infer::{AnalyticalInferBackend, InferBackend, ObservedInferBackend};
+use amped_configs::scenario::{ResilienceSection, ResolvedScenario};
+use amped_core::{Error, InferenceConfig, Result};
 use amped_memory::{MemoryModel, OptimizerSpec};
 use amped_obs::Observer;
 use amped_report::Table;
-use amped_search::{
-    placement_for, DomainGoodput, EnumerationOptions, GoodputOptions, PlacementChoice,
-    SearchEngine, ServingSearch, ServingSweepOptions, Sweep,
-};
-use amped_sim::{FaultPlan, SimBackend, SimConfig};
+use amped_search::{Candidate, SearchStats, ServingCandidate, ServingSearchStats};
+use amped_serve::ops::{self, to_json, Context, Op, Outcome, Params};
+use amped_sim::{FaultPlan, SimConfig};
 
 use crate::args::Args;
 
@@ -174,26 +178,6 @@ loadtest flags (loadtest only; drives a live `amped serve` instance):
   --json                      print the report JSON instead of the table
 ";
 
-/// The cost backend selected by `--backend` (analytical when absent).
-/// With an observer, evaluations are recorded: the simulator backend
-/// self-instruments (spans, `backend.sim.evaluations` and the `sim.des.*`
-/// series), the analytical one goes through [`ObservedBackend`].
-fn backend_for(args: &Args, observer: Option<Arc<Observer>>) -> Result<Box<dyn CostBackend>> {
-    match args.get_or("backend", "analytical") {
-        "analytical" => Ok(match observer {
-            Some(obs) => Box::new(ObservedBackend::new(Box::new(AnalyticalBackend), obs)),
-            None => Box::new(AnalyticalBackend),
-        }),
-        "sim" => Ok(match observer {
-            Some(obs) => Box::new(SimBackend::new().with_observer(obs)),
-            None => Box::new(SimBackend::new()),
-        }),
-        other => Err(Error::usage(format!(
-            "unknown backend `{other}`; use analytical|sim"
-        ))),
-    }
-}
-
 /// The `--metrics-out` / `--trace-out` / `-v` observability session of one
 /// command invocation.
 ///
@@ -265,35 +249,273 @@ impl ObsSession {
 
 /// Route a parsed command line to its implementation.
 pub fn dispatch(args: &Args) -> Result<String> {
-    match args.command.as_deref() {
-        None | Some("help") => Ok(HELP.to_string()),
-        Some("presets") => presets(),
-        Some("schema") => to_json(&amped_configs::schema::schema_value()),
-        Some("estimate") => estimate(args),
-        Some("infer") => infer(args),
-        Some("detail") => detail(args),
-        Some("search") => search(args),
-        Some("recommend") => recommend(args),
-        Some("sweep") => sweep(args),
-        Some("simulate") => simulate(args),
-        Some("trace") => trace(args),
-        Some("memory") => memory(args),
-        Some("energy") => energy(args),
-        Some("resilience") => resilience(args),
-        Some("sensitivity") => sensitivity(args),
-        Some("check") => check(args),
-        Some("serve") => serve(args),
-        Some("loadtest") => loadtest(args),
-        Some(other) => Err(Error::usage(format!(
+    let command = args.command.as_deref().unwrap_or("help");
+    if let Some(op) = Op::for_command(command, args)? {
+        return shared(args, command, op);
+    }
+    match command {
+        "help" => Ok(HELP.to_string()),
+        "presets" => presets(),
+        "schema" => to_json(&amped_configs::schema::schema_value()),
+        "serve" => serve(args),
+        "loadtest" => loadtest(args),
+        "detail" | "simulate" | "trace" | "memory" | "energy" | "sensitivity" | "check" => {
+            let file = config_file(args)?;
+            let r = ops::resolve(args, file.as_deref(), FlagSet::default(), None)?;
+            if args.switch("dump-resolved") {
+                return to_json(&r.dump_value());
+            }
+            let s = &r.scenario;
+            match command {
+                "detail" => detail(s),
+                "simulate" => simulate(args, s),
+                "trace" => trace(s),
+                "memory" => Ok(memory(s)),
+                "energy" => energy(s),
+                "sensitivity" => sensitivity(args, s),
+                _ => Ok(check(s)),
+            }
+        }
+        other => Err(Error::usage(format!(
             "unknown command `{other}`; try `amped help`"
         ))),
     }
 }
 
-/// Pretty-print a serializable value, mapping the (practically
-/// unreachable) serializer failure to a typed error.
-fn to_json<T: serde::Serialize>(value: &T) -> Result<String> {
-    serde_json::to_string_pretty(value).map_err(|e| Error::invalid("json", e.to_string()))
+/// The text of the `--config` scenario file, when one is given.
+fn config_file(args: &Args) -> Result<Option<String>> {
+    args.get("config")
+        .map(|path| std::fs::read_to_string(path).map_err(|e| Error::io(path, e.to_string())))
+        .transpose()
+}
+
+/// A command the service answers too: parameters, resolution and
+/// execution go through [`ops`]; this adds the `--config` file,
+/// `--dump-resolved`, the observability session and the text views.
+fn shared(args: &Args, command: &str, op: Op) -> Result<String> {
+    let params = Params::read(args)?;
+    let r = op.resolve(&params, args, config_file(args)?.as_deref())?;
+    if args.switch("dump-resolved") {
+        return to_json(&r.dump_value());
+    }
+    let s = &r.scenario;
+    let obs = ObsSession::from_args(args);
+    let ctx = Context {
+        observer: obs.observer(),
+        pool: None,
+    };
+    let outcome = op.execute(s, &params, &ctx)?;
+    if args.switch("json") {
+        // Observability files are still written; the -v summary never
+        // pollutes machine-readable output.
+        obs.finish(command, &mut String::new())?;
+        return to_json(&outcome.artifact());
+    }
+    let mut trace_json = None;
+    let mut out = match &outcome {
+        Outcome::Estimate { estimate, resilience, backend } => {
+            let mut out = format!(
+                "{} on {} x {} ({} nodes x {}/node) via {backend} backend\n{estimate}",
+                s.model.name(),
+                s.system.total_accelerators(),
+                s.accelerator.name(),
+                s.system.num_nodes(),
+                s.system.accels_per_node(),
+            );
+            if let Some(r) = resilience {
+                out.push_str(&format!("\n{r}"));
+            }
+            out
+        }
+        Outcome::Infer { estimate, config, backend } => format!(
+            "{} served on {} x {} ({} nodes x {}/node) via {backend} backend\n\
+             prompt {} + decode {} tokens @ batch {} ({}-bit KV cache)\n{estimate}",
+            s.model.name(),
+            s.system.total_accelerators(),
+            s.accelerator.name(),
+            s.system.num_nodes(),
+            s.system.accels_per_node(),
+            config.prompt_tokens(),
+            config.decode_tokens(),
+            config.batch(),
+            config.kv_bits(),
+        ),
+        Outcome::Search { results, stats, top, goodput } => {
+            search_text(s, results, stats, *top, *goodput)
+        }
+        Outcome::ServingSearch { results, stats, top, request } => {
+            serving_text(s, results, stats, *top, request)
+        }
+        Outcome::Recommend(rec) => rec.to_string(),
+        Outcome::Sweep(sweep) => amped_report::artifacts::sweep_text(sweep),
+        Outcome::Resilience { report, correlated, backend, .. } => {
+            let section = s.resilience.expect("the resilience op resolves a section");
+            let mut out = format!(
+                "{} on {} accelerators ({} nodes, node MTBF {} h) via {backend} backend\n{report}",
+                s.model.name(),
+                s.system.total_accelerators(),
+                s.system.num_nodes(),
+                section.node_mtbf_hours,
+            );
+            if let Some(c) = correlated {
+                out.push_str(&format!("\n{c}"));
+            }
+            // --seed cross-checks the analytical expectation against one
+            // seeded fault-injected replay in the discrete-event simulator.
+            if let Some(seed) = ops::parsed::<u64>(args, "seed")? {
+                let run = seeded_replay(s, &section, seed, obs.observer())?;
+                let deviation = (run.total_time_s - report.expected_s) / report.expected_s * 100.0;
+                out.push_str(&format!(
+                    "\nseeded simulation (seed {seed}): {:.2} s total, {} failure(s), {} checkpoint(s)\n  vs analytical expectation {:.2} s ({:+.1}%)",
+                    run.total_time_s, run.num_failures, run.num_checkpoints, report.expected_s, deviation
+                ));
+                // The fault replay is the interesting trace here: training,
+                // lost work, restarts and checkpoint writes per device.
+                trace_json = obs
+                    .trace_out
+                    .is_some()
+                    .then(|| amped_sim::trace::run_to_chrome_trace(&run, s.parallelism.pp()));
+            }
+            out
+        }
+    };
+    obs.finish_with(command, trace_json, &mut out)?;
+    Ok(out)
+}
+
+/// One seeded fault-injected replay of the whole run under the
+/// scenario's resilience section and failure domains.
+fn seeded_replay(
+    s: &ResolvedScenario,
+    section: &ResilienceSection,
+    seed: u64,
+    observer: Option<Arc<Observer>>,
+) -> Result<amped_sim::RunResult> {
+    let mut plan = FaultPlan::seeded(seed)
+        // Node MTBF spread over the node's devices: same system-level
+        // failure rate, expressed per simulated device.
+        .with_device_mtbf(section.node_mtbf_s() * s.system.accels_per_node() as f64)
+        .with_restart(section.restart_s)
+        .with_ckpt_write_bw(section.ckpt_write_bytes_per_s());
+    if let Some(interval) = section.interval_s {
+        plan = plan.with_ckpt_interval(interval);
+    }
+    if let Some(fd) = &s.failure_domains {
+        plan = plan
+            .with_domain_tree(fd.tree(s.system.num_nodes())?)
+            .with_regrow(fd.regrow_delay_s);
+        if let Some(hours) = fd.preemption_mtbf_hours {
+            plan = plan.with_preemption(hours * 3600.0);
+        }
+    }
+    let scenario = s.to_scenario();
+    let mut cfg = SimConfig::from_scenario(&scenario);
+    if let Some(o) = observer {
+        cfg = cfg.with_observer(o);
+    }
+    cfg.simulate_run(s.training.global_batch(), s.training.num_batches(), &plan)
+}
+
+/// The `search` table: the top rows of the ranking, the memory filter's
+/// rejections, and the expected-time table under `--goodput`.
+fn search_text(
+    s: &ResolvedScenario,
+    results: &[Candidate],
+    stats: &SearchStats,
+    top: usize,
+    goodput: bool,
+) -> String {
+    let mut t = Table::new(["#", "tp", "pp", "dp", "time", "TFLOP/s/GPU", "fits mem", "backend"]);
+    for (i, c) in results.iter().take(top).enumerate() {
+        t.row([
+            format!("{}", i + 1),
+            format!("{}x{}", c.parallelism.tp_intra(), c.parallelism.tp_inter()),
+            format!("{}x{}", c.parallelism.pp_intra(), c.parallelism.pp_inter()),
+            format!("{}x{}", c.parallelism.dp_intra(), c.parallelism.dp_inter()),
+            c.ranking_estimate().total_time.to_string(),
+            format!("{:.1}", c.ranking_estimate().tflops_per_gpu),
+            if c.fits_memory { "yes" } else { "NO" }.to_string(),
+            if c.refined.is_some() { "sim" } else { "analytical" }.to_string(),
+        ]);
+    }
+    let mut out = format!(
+        "{} candidate mappings for {} on {} accelerators; top {top}:\n{}",
+        results.len(),
+        s.model.name(),
+        s.system.total_accelerators(),
+        t.to_ascii()
+    );
+    if stats.memory_rejected.total() > 0 {
+        let r = &stats.memory_rejected;
+        out.push_str(&format!(
+            "\n\n{} mapping(s) dropped by the memory filter; first failing inequality: \
+             weights {}, gradients {}, optimizer {}, activations {}",
+            r.total(),
+            r.weights,
+            r.gradients,
+            r.optimizer,
+            r.activations
+        ));
+    }
+    if goodput {
+        let shown = top.min(results.len());
+        out.push_str(&format!(
+            "\n\nexpected time under failures (ranking objective):\n{}",
+            amped_report::resilience_table(&results[..shown]).to_ascii()
+        ));
+    }
+    out
+}
+
+/// The `search --workload infer` table: the top serving points by
+/// request latency, Pareto-front members starred.
+fn serving_text(
+    s: &ResolvedScenario,
+    results: &[ServingCandidate],
+    stats: &ServingSearchStats,
+    top: usize,
+    request: &InferenceConfig,
+) -> String {
+    let front = amped_search::serving_pareto_front(results);
+    let on_front = |c: &ServingCandidate| front.iter().any(|f| std::ptr::eq::<ServingCandidate>(*f, c));
+    let mut t = Table::new([
+        "#", "tp", "pp", "replicas", "batch", "ttft", "tpot", "tok/s", "memory", "pareto",
+    ]);
+    for (i, c) in results.iter().take(top).enumerate() {
+        t.row([
+            format!("{}", i + 1),
+            format!("{}x{}", c.parallelism.tp_intra(), c.parallelism.tp_inter()),
+            format!("{}x{}", c.parallelism.pp_intra(), c.parallelism.pp_inter()),
+            format!("{}", c.estimate.replicas),
+            format!("{}", c.batch),
+            format!("{:.3} ms", c.estimate.ttft.get() * 1e3),
+            format!("{:.3} ms", c.estimate.tpot.get() * 1e3),
+            format!("{:.0}", c.estimate.tokens_per_sec),
+            amped_core::units::format_bytes(c.estimate.memory_total()),
+            if on_front(c) { "*" } else { "" }.to_string(),
+        ]);
+    }
+    let mut out = format!(
+        "{} serving points for {} on {} accelerators \
+         (prompt {} + decode {}); top {top} by request latency:\n{}",
+        results.len(),
+        s.model.name(),
+        s.system.total_accelerators(),
+        request.prompt_tokens(),
+        request.decode_tokens(),
+        t.to_ascii()
+    );
+    if stats.memory_rejected.total() > 0 {
+        let rej = &stats.memory_rejected;
+        out.push_str(&format!(
+            "\n\n{} point(s) dropped by the KV-capacity filter; first failing \
+             inequality: weights {}, kv_cache {}",
+            rej.total(),
+            rej.weights,
+            rej.kv_cache
+        ));
+    }
+    out
 }
 
 fn presets() -> Result<String> {
@@ -334,504 +556,7 @@ fn presets() -> Result<String> {
     Ok(t.to_ascii())
 }
 
-/// [`Args`] as a [`FlagReader`], so the configs pipeline can collect the
-/// scenario flags without the CLI touching raw JSON sections.
-struct ArgsReader<'a>(&'a Args);
-
-impl FlagReader for ArgsReader<'_> {
-    fn value(&self, key: &str) -> Option<String> {
-        self.0.get(key).map(String::from)
-    }
-
-    fn switch(&self, key: &str) -> bool {
-        self.0.switch(key)
-    }
-}
-
-/// Resolve a command's scenario through the layered pipeline:
-/// built-in defaults < `base` (command-specific defaults) < `--preset`
-/// < `--config` < flags. The identical stacking runs in `amped-serve`
-/// for `?preset=`, the request body and query parameters, which is what
-/// keeps the two front-ends byte-identical.
-fn resolution(
-    args: &Args,
-    set: FlagSet,
-    base: Option<serde_json::Value>,
-) -> Result<Resolution> {
-    let mut draft = ScenarioDraft::new();
-    if let Some(doc) = base {
-        draft.push(Source::Defaults, doc)?;
-    }
-    if let Some(name) = args.get("preset") {
-        draft.preset(name)?;
-    }
-    if let Some(path) = args.get("config") {
-        let json = std::fs::read_to_string(path).map_err(|e| Error::io(path, e.to_string()))?;
-        draft.push_json(Source::File, &json)?;
-    }
-    draft.flags(&ArgsReader(args), set)?;
-    draft.resolve()
-}
-
-/// The `--dump-resolved` artifact when the switch is given: the merged
-/// scenario document plus per-field provenance, instead of running the
-/// command.
-fn dump_resolved(args: &Args, r: &Resolution) -> Option<Result<String>> {
-    args.switch("dump-resolved").then(|| to_json(&r.dump_value()))
-}
-
-/// The bytes each device writes per checkpoint: its weight + optimizer
-/// shard under this scenario's mapping.
-fn per_device_ckpt_bytes(s: &ResolvedScenario) -> f64 {
-    let ub = s.parallelism.microbatch_size(s.training.global_batch());
-    let n_ub = s.parallelism.num_microbatches(s.training.global_batch());
-    MemoryModel::new(&s.model, &s.parallelism)
-        .with_precision(s.precision)
-        .with_optimizer(OptimizerSpec::adam_mixed_precision())
-        .footprint(ub, n_ub)
-        .checkpoint_bytes()
-}
-
-/// The checkpoint/restart expected-time report for a run whose fault-free
-/// duration is `fault_free_s`.
-fn expected_time_report(
-    s: &ResolvedScenario,
-    section: &ResilienceSection,
-    fault_free_s: f64,
-) -> Result<ResilienceReport> {
-    section
-        .params(s.system.num_nodes(), per_device_ckpt_bytes(s))?
-        .report(fault_free_s)
-}
-
-/// The parsed `placement` spelling of a `failure_domains` section (the
-/// resolver already vetted it; this converts to the enumerator's type).
-fn placement_choice(fd: &FailureDomainsSection) -> Result<PlacementChoice> {
-    PlacementChoice::parse(&fd.placement).ok_or_else(|| {
-        Error::usage(format!(
-            "unknown layout `{}`; use auto, replica-major or stage-major",
-            fd.placement
-        ))
-    })
-}
-
-/// The correlated expected-time report when the scenario carries a
-/// `failure_domains` section: the rack/pod tree, this mapping's
-/// deterministic placement onto it, and elastic recovery, priced over the
-/// independent node-failure base. `None` when no section is present —
-/// the historical flat model stands alone.
-fn correlated_report(
-    s: &ResolvedScenario,
-    section: &ResilienceSection,
-    fault_free_s: f64,
-) -> Result<Option<CorrelatedReport>> {
-    let Some(fd) = &s.failure_domains else {
-        return Ok(None);
-    };
-    let tree = fd.tree(s.system.num_nodes())?;
-    let placement = placement_for(&s.parallelism, &s.system, &tree, placement_choice(fd)?);
-    let base = section.params(s.system.num_nodes(), per_device_ckpt_bytes(s))?;
-    let params = CorrelatedResilience::new(base, tree, placement)?.with_elastic(fd.elastic()?);
-    Ok(Some(params.report(fault_free_s)?))
-}
-
-/// The `--goodput` expected-time options for search/recommend: the MTBF,
-/// restart and checkpoint knobs from the flags, plus the scenario's
-/// `failure_domains` section when one resolved (domain flags are live on
-/// these commands whenever `--goodput` is).
-fn goodput_options(args: &Args, s: &ResolvedScenario) -> Result<GoodputOptions> {
-    let mtbf_hours: f64 = args.parse_or("goodput", DEFAULT_NODE_MTBF_HOURS)?;
-    let mut opts = GoodputOptions::new(mtbf_hours * 3600.0);
-    opts.restart_s = args.parse_or("restart", opts.restart_s)?;
-    let gbps: f64 = args.parse_or("ckpt-gbps", 16.0)?;
-    opts.ckpt_write_bytes_per_s = gbps * 1e9 / 8.0;
-    if let Some(v) = args.get("ckpt-interval") {
-        opts.interval_s = Some(
-            v.parse()
-                .map_err(|_| Error::usage(format!("invalid --ckpt-interval: {v}")))?,
-        );
-    }
-    if let Some(fd) = &s.failure_domains {
-        opts = opts.with_failure_domains(DomainGoodput {
-            tree: fd.tree(s.system.num_nodes())?,
-            elastic: Some(fd.elastic()?),
-            placement: placement_choice(fd)?,
-        });
-    }
-    Ok(opts)
-}
-
-fn estimate(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::with_resilience(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    let backend = backend_for(args, obs.observer())?;
-    let estimate = backend.evaluate(&s.to_scenario(), &s.training)?;
-    // A resilience section (--mtbf, a preset, or a scenario file) layers
-    // the analytical checkpoint/restart model on top of the fault-free
-    // estimate.
-    let report = match &s.resilience {
-        Some(section) => Some(expected_time_report(s, section, estimate.total_time.get())?),
-        None => None,
-    };
-    if args.switch("json") {
-        // Observability files are still written; the -v summary never
-        // pollutes machine-readable output.
-        obs.finish("estimate", &mut String::new())?;
-        return to_json(&amped_report::artifacts::estimate_value(
-            &estimate,
-            report.as_ref(),
-        ));
-    }
-    let mut out = format!(
-        "{} on {} x {} ({} nodes x {}/node) via {} backend\n{}",
-        s.model.name(),
-        s.system.total_accelerators(),
-        s.accelerator.name(),
-        s.system.num_nodes(),
-        s.system.accels_per_node(),
-        backend.name(),
-        estimate
-    );
-    if let Some(r) = &report {
-        out.push_str(&format!("\n{r}"));
-    }
-    obs.finish("estimate", &mut out)?;
-    Ok(out)
-}
-
-fn infer(args: &Args) -> Result<String> {
-    // The infer command always has an inference section to price: an
-    // empty overlay just above the built-in defaults brings in the serde
-    // defaults, so presets, --config and the serving flags all override
-    // it through the normal layering — identically to `POST /v1/infer`.
-    let base = serde_json::json!({ "inference": {} });
-    let r = resolution(args, FlagSet::with_inference(), Some(base))?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    let section = s
-        .inference
-        .ok_or_else(|| Error::usage("infer needs an inference section"))?;
-    let config = section.params()?;
-    let backend: Box<dyn InferBackend> = match obs.observer() {
-        Some(o) => Box::new(ObservedInferBackend::new(Box::new(AnalyticalInferBackend), o)),
-        None => Box::new(AnalyticalInferBackend),
-    };
-    let estimate = backend.evaluate(&s.to_scenario(), &config)?;
-    if args.switch("json") {
-        obs.finish("infer", &mut String::new())?;
-        return to_json(&amped_report::artifacts::infer_value(&estimate));
-    }
-    let mut out = format!(
-        "{} served on {} x {} ({} nodes x {}/node) via {} backend\n\
-         prompt {} + decode {} tokens @ batch {} ({}-bit KV cache)\n{}",
-        s.model.name(),
-        s.system.total_accelerators(),
-        s.accelerator.name(),
-        s.system.num_nodes(),
-        s.system.accels_per_node(),
-        backend.name(),
-        config.prompt_tokens(),
-        config.decode_tokens(),
-        config.batch(),
-        config.kv_bits(),
-        estimate
-    );
-    obs.finish("infer", &mut out)?;
-    Ok(out)
-}
-
-fn resilience(args: &Args) -> Result<String> {
-    // The resilience command always has a section to work with: a default
-    // MTBF overlay sits just above the built-in defaults, so presets,
-    // files and flags all override it through the normal layering.
-    let base = serde_json::json!({
-        "resilience": { "node_mtbf_hours": DEFAULT_NODE_MTBF_HOURS }
-    });
-    let r = resolution(args, FlagSet::with_failure_domains(), Some(base))?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    let backend = backend_for(args, obs.observer())?;
-    let estimate = backend.evaluate(&s.to_scenario(), &s.training)?;
-    let section = s
-        .resilience
-        .ok_or_else(|| Error::usage("resilience needs an MTBF"))?;
-    // A `failure_domains` section layers correlated rack/pod outages and
-    // elastic recovery on the flat model; without one the report below is
-    // the historical independent-exponential one, bit for bit.
-    let correlated = correlated_report(s, &section, estimate.total_time.get())?;
-    let report = match &correlated {
-        Some(c) => c.flat_report(),
-        None => expected_time_report(s, &section, estimate.total_time.get())?,
-    };
-    if args.switch("json") {
-        obs.finish("resilience", &mut String::new())?;
-        return to_json(&amped_report::artifacts::resilience_value(
-            &estimate,
-            &report,
-            correlated.as_ref(),
-        ));
-    }
-    let mut out = format!(
-        "{} on {} accelerators ({} nodes, node MTBF {} h) via {} backend\n{report}",
-        s.model.name(),
-        s.system.total_accelerators(),
-        s.system.num_nodes(),
-        section.node_mtbf_hours,
-        backend.name(),
-    );
-    if let Some(c) = &correlated {
-        out.push_str(&format!("\n{c}"));
-    }
-    // --seed cross-checks the analytical expectation against one seeded
-    // fault-injected replay in the discrete-event simulator.
-    if let Some(seed) = args.get("seed") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| Error::usage(format!("invalid --seed: {seed}")))?;
-        let mut plan = FaultPlan::seeded(seed)
-            // Node MTBF spread over the node's devices: same system-level
-            // failure rate, expressed per simulated device.
-            .with_device_mtbf(section.node_mtbf_s() * s.system.accels_per_node() as f64)
-            .with_restart(section.restart_s)
-            .with_ckpt_write_bw(section.ckpt_write_bytes_per_s());
-        if let Some(interval) = section.interval_s {
-            plan = plan.with_ckpt_interval(interval);
-        }
-        if let Some(fd) = &s.failure_domains {
-            plan = plan
-                .with_domain_tree(fd.tree(s.system.num_nodes())?)
-                .with_regrow(fd.regrow_delay_s);
-            if let Some(hours) = fd.preemption_mtbf_hours {
-                plan = plan.with_preemption(hours * 3600.0);
-            }
-        }
-        let scenario = s.to_scenario();
-        let mut cfg = SimConfig::from_scenario(&scenario);
-        if let Some(o) = obs.observer() {
-            cfg = cfg.with_observer(o);
-        }
-        let run =
-            cfg.simulate_run(s.training.global_batch(), s.training.num_batches(), &plan)?;
-        let deviation = (run.total_time_s - report.expected_s) / report.expected_s * 100.0;
-        out.push_str(&format!(
-            "\nseeded simulation (seed {seed}): {:.2} s total, {} failure(s), {} checkpoint(s)\n  vs analytical expectation {:.2} s ({:+.1}%)",
-            run.total_time_s, run.num_failures, run.num_checkpoints, report.expected_s, deviation
-        ));
-        // The fault replay is the interesting trace here: training, lost
-        // work, restarts and checkpoint writes per device.
-        let trace_json = obs
-            .trace_out
-            .is_some()
-            .then(|| amped_sim::trace::run_to_chrome_trace(&run, s.parallelism.pp()));
-        obs.finish_with("resilience", trace_json, &mut out)?;
-        return Ok(out);
-    }
-    obs.finish("resilience", &mut out)?;
-    Ok(out)
-}
-
-fn search(args: &Args) -> Result<String> {
-    match args.get_or("workload", "train") {
-        "train" => search_train(args),
-        "infer" => search_infer(args),
-        other => Err(Error::usage(format!(
-            "unknown workload `{other}`; use train|infer"
-        ))),
-    }
-}
-
-/// `search --workload infer`: sweep every serving mapping × batch point,
-/// rank by request latency, and flag the Pareto frontier.
-fn search_infer(args: &Args) -> Result<String> {
-    // Same empty-section base as `infer`, so the serving flags and the
-    // scenario's `inference` section shape the swept request identically
-    // on both front-ends.
-    let base = serde_json::json!({ "inference": {} });
-    let r = resolution(args, FlagSet::with_inference(), Some(base))?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    let section = s
-        .inference
-        .ok_or_else(|| Error::usage("search --workload infer needs an inference section"))?;
-    let request = section.params()?;
-    let mut engine = ServingSearch::new(&s.model, &s.accelerator, &s.system)
-        .with_precision(s.precision)
-        .with_sweep(ServingSweepOptions {
-            max_batch: args.parse_or("max-serve-batch", 64)?,
-            ..ServingSweepOptions::default()
-        })
-        .with_parallelism(args.parse_or("jobs", 0)?)
-        .with_pruning(args.switch("prune"));
-    if let Some(o) = obs.observer() {
-        engine = engine.with_observer(o);
-    }
-    let (results, stats) = engine.search_with_stats(&request)?;
-    let top: usize = args.parse_or("top", 10)?;
-    if args.switch("json") {
-        obs.finish("search", &mut String::new())?;
-        return to_json(&amped_report::artifacts::serving_search_value(
-            &results, top, &stats,
-        ));
-    }
-    let front = amped_search::serving_pareto_front(&results);
-    let on_front = |c: &amped_search::ServingCandidate| {
-        front
-            .iter()
-            .any(|f| std::ptr::eq::<amped_search::ServingCandidate>(*f, c))
-    };
-    let mut t = Table::new([
-        "#", "tp", "pp", "replicas", "batch", "ttft", "tpot", "tok/s", "memory", "pareto",
-    ]);
-    for (i, c) in results.iter().take(top).enumerate() {
-        t.row([
-            format!("{}", i + 1),
-            format!("{}x{}", c.parallelism.tp_intra(), c.parallelism.tp_inter()),
-            format!("{}x{}", c.parallelism.pp_intra(), c.parallelism.pp_inter()),
-            format!("{}", c.estimate.replicas),
-            format!("{}", c.batch),
-            format!("{:.3} ms", c.estimate.ttft.get() * 1e3),
-            format!("{:.3} ms", c.estimate.tpot.get() * 1e3),
-            format!("{:.0}", c.estimate.tokens_per_sec),
-            amped_core::units::format_bytes(c.estimate.memory_total()),
-            if on_front(c) { "*" } else { "" }.to_string(),
-        ]);
-    }
-    let mut out = format!(
-        "{} serving points for {} on {} accelerators \
-         (prompt {} + decode {}); top {top} by request latency:\n{}",
-        results.len(),
-        s.model.name(),
-        s.system.total_accelerators(),
-        request.prompt_tokens(),
-        request.decode_tokens(),
-        t.to_ascii()
-    );
-    if stats.memory_rejected.total() > 0 {
-        let rej = &stats.memory_rejected;
-        out.push_str(&format!(
-            "\n\n{} point(s) dropped by the KV-capacity filter; first failing \
-             inequality: weights {}, kv_cache {}",
-            rej.total(),
-            rej.weights,
-            rej.kv_cache
-        ));
-    }
-    obs.finish("search", &mut out)?;
-    Ok(out)
-}
-
-fn search_train(args: &Args) -> Result<String> {
-    // --goodput [HOURS] ranks by expected time under failures instead of
-    // the fault-free total. With it on, the failure-domain flags are live
-    // too, and a default-MTBF resilience base satisfies the domain
-    // section's prerequisite through the normal layering.
-    let goodput_on = args.switch("goodput") || args.get("goodput").is_some();
-    let mtbf_hours: f64 = args.parse_or("goodput", DEFAULT_NODE_MTBF_HOURS)?;
-    let set = FlagSet {
-        failure_domains: goodput_on,
-        ..FlagSet::default()
-    };
-    let base = goodput_on.then(|| {
-        serde_json::json!({
-            "resilience": { "node_mtbf_hours": mtbf_hours }
-        })
-    });
-    let r = resolution(args, set, base)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    let mut engine = SearchEngine::new(&s.model, &s.accelerator, &s.system)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .with_engine_options(s.options)
-        .with_enumeration(EnumerationOptions::default())
-        .with_parallelism(args.parse_or("jobs", 0)?)
-        .with_pruning(args.switch("prune"))
-        .with_memory_filter(args.switch("memory-filter"))
-        .with_refine_sim(args.parse_or("refine-sim", 0)?);
-    if let Some(o) = obs.observer() {
-        engine = engine.with_observer(o);
-    }
-    if goodput_on {
-        engine = engine.with_goodput(goodput_options(args, s)?);
-    }
-    let (results, stats) = engine.search_with_stats(&s.training)?;
-    let top: usize = args.parse_or("top", 10)?;
-    let backend_of = |c: &amped_search::Candidate| {
-        if c.refined.is_some() {
-            "sim"
-        } else {
-            "analytical"
-        }
-    };
-    if args.switch("json") {
-        obs.finish("search", &mut String::new())?;
-        return to_json(&amped_report::artifacts::search_value(&results, top, &stats));
-    }
-    let mut t = Table::new(["#", "tp", "pp", "dp", "time", "TFLOP/s/GPU", "fits mem", "backend"]);
-    for (i, c) in results.iter().take(top).enumerate() {
-        t.row([
-            format!("{}", i + 1),
-            format!("{}x{}", c.parallelism.tp_intra(), c.parallelism.tp_inter()),
-            format!("{}x{}", c.parallelism.pp_intra(), c.parallelism.pp_inter()),
-            format!("{}x{}", c.parallelism.dp_intra(), c.parallelism.dp_inter()),
-            c.ranking_estimate().total_time.to_string(),
-            format!("{:.1}", c.ranking_estimate().tflops_per_gpu),
-            if c.fits_memory { "yes" } else { "NO" }.to_string(),
-            backend_of(c).to_string(),
-        ]);
-    }
-    let mut out = format!(
-        "{} candidate mappings for {} on {} accelerators; top {top}:\n{}",
-        results.len(),
-        s.model.name(),
-        s.system.total_accelerators(),
-        t.to_ascii()
-    );
-    if stats.memory_rejected.total() > 0 {
-        let r = &stats.memory_rejected;
-        out.push_str(&format!(
-            "\n\n{} mapping(s) dropped by the memory filter; first failing inequality: \
-             weights {}, gradients {}, optimizer {}, activations {}",
-            r.total(),
-            r.weights,
-            r.gradients,
-            r.optimizer,
-            r.activations
-        ));
-    }
-    if goodput_on {
-        let shown = top.min(results.len());
-        out.push_str(&format!(
-            "\n\nexpected time under failures (ranking objective):\n{}",
-            amped_report::resilience_table(&results[..shown]).to_ascii()
-        ));
-    }
-    obs.finish("search", &mut out)?;
-    Ok(out)
-}
-
-fn simulate(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
+fn simulate(args: &Args, s: &ResolvedScenario) -> Result<String> {
     let obs = ObsSession::from_args(args);
     let scenario = s.to_scenario();
     let mut cfg = SimConfig::from_scenario(&scenario);
@@ -839,24 +564,15 @@ fn simulate(args: &Args) -> Result<String> {
         cfg = cfg.with_observer(o);
     }
     // --seed switches to a fault-injected whole-run replay.
-    if let Some(seed) = args.get("seed") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| Error::usage(format!("invalid --seed: {seed}")))?;
+    if let Some(seed) = ops::parsed::<u64>(args, "seed")? {
         let mut plan = FaultPlan::seeded(seed).with_restart(args.parse_or("restart", 300.0)?);
         if let Some((count, factor)) = args.straggler_spec("stragglers")? {
             plan = plan.with_random_stragglers(count, factor);
         }
-        if let Some(v) = args.get("mtbf") {
-            let hours: f64 = v
-                .parse()
-                .map_err(|_| Error::usage(format!("invalid --mtbf: {v}")))?;
+        if let Some(hours) = ops::parsed::<f64>(args, "mtbf")? {
             plan = plan.with_device_mtbf(hours * 3600.0 * s.system.accels_per_node() as f64);
         }
-        if let Some(v) = args.get("ckpt-interval") {
-            let interval: f64 = v
-                .parse()
-                .map_err(|_| Error::usage(format!("invalid --ckpt-interval: {v}")))?;
+        if let Some(interval) = ops::parsed(args, "ckpt-interval")? {
             plan = plan.with_ckpt_interval(interval);
         }
         let gbps: f64 = args.parse_or("ckpt-gbps", 16.0)?;
@@ -912,12 +628,7 @@ fn simulate(args: &Args) -> Result<String> {
     Ok(out)
 }
 
-fn detail(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
+fn detail(s: &ResolvedScenario) -> Result<String> {
     let detailed = s.to_scenario().estimator().estimate_detailed(&s.training)?;
     let mut out = format!("{detailed}
 
@@ -935,142 +646,14 @@ hottest layers:
     Ok(out)
 }
 
-fn recommend(args: &Args) -> Result<String> {
-    // --goodput wires in exactly as on `search`: the recommendation rides
-    // on the same ranking, so the winner is the expected-time-best
-    // mapping under the (possibly domain-correlated) failure model.
-    let goodput_on = args.switch("goodput") || args.get("goodput").is_some();
-    let mtbf_hours: f64 = args.parse_or("goodput", DEFAULT_NODE_MTBF_HOURS)?;
-    let set = FlagSet {
-        failure_domains: goodput_on,
-        ..FlagSet::default()
-    };
-    let base = goodput_on.then(|| {
-        serde_json::json!({
-            "resilience": { "node_mtbf_hours": mtbf_hours }
-        })
-    });
-    let r = resolution(args, set, base)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let obs = ObsSession::from_args(args);
-    // --refine-sim K re-ranks the analytical top K through the simulator
-    // before picking the winner, exactly as on `search`.
-    let mut engine = SearchEngine::new(&s.model, &s.accelerator, &s.system)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .with_engine_options(s.options)
-        .with_memory_filter(true)
-        .with_parallelism(args.parse_or("jobs", 0)?)
-        .with_refine_sim(args.parse_or("refine-sim", 0)?);
-    if let Some(o) = obs.observer() {
-        engine = engine.with_observer(o);
-    }
-    if goodput_on {
-        engine = engine.with_goodput(goodput_options(args, s)?);
-    }
-    match engine.recommend(&s.training)? {
-        Some(rec) => {
-            if args.switch("json") {
-                obs.finish("recommend", &mut String::new())?;
-                return to_json(&amped_report::artifacts::recommend_value(&rec));
-            }
-            let mut out = rec.to_string();
-            obs.finish("recommend", &mut out)?;
-            Ok(out)
-        }
-        None => Err(Error::usage(
-            "no memory-feasible mapping; shard more (TP/PP), enable recomputation, or use bigger devices",
-        )),
-    }
-}
-
-fn sweep(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    // Compare the canonical inter-node strategies at the given node shape,
-    // TP filling the node, across a batch ladder.
-    let per_node = s.system.accels_per_node();
-    let nodes = s.system.num_nodes();
-    let mut mappings: Vec<(String, Parallelism)> = Vec::new();
-    let dp = Parallelism::builder().tp(per_node, 1).dp(1, nodes).build()?;
-    mappings.push(("dp-inter".into(), dp));
-    if nodes > 1 {
-        let pp_x = nodes.min(s.model.num_layers());
-        if nodes % pp_x == 0 {
-            let pp = Parallelism::builder()
-                .tp(per_node, 1)
-                .pp(1, pp_x)
-                .dp(1, nodes / pp_x)
-                .build()?;
-            mappings.push(("pp-inter".into(), pp));
-        }
-        if s.model.num_heads() >= 2 * per_node && nodes % 2 == 0 {
-            let tp = Parallelism::builder()
-                .tp(per_node, 2)
-                .dp(1, nodes / 2)
-                .build()?;
-            mappings.push(("tp-inter2".into(), tp));
-        }
-    }
-    let base = s.training.global_batch();
-    let batches: Vec<usize> = [1usize, 2, 4].iter().map(|m| base * m).collect();
-    let obs = ObsSession::from_args(args);
-    let mut engine = SearchEngine::new(&s.model, &s.accelerator, &s.system)
-        .with_precision(s.precision)
-        .with_efficiency(s.efficiency.clone())
-        .with_engine_options(s.options)
-        .with_parallelism(args.parse_or("jobs", 0)?);
-    if let Some(o) = obs.observer() {
-        engine = engine.with_observer(o);
-    }
-    // The default analytical sweep tunes microbatches per cell; an explicit
-    // backend prices the mappings exactly as constructed.
-    let sweep = match args.get("backend") {
-        None => Sweep::run(&engine, &mappings, &batches, s.training.num_batches()),
-        Some(_) => {
-            let backend = backend_for(args, obs.observer())?;
-            Sweep::run_backend(
-                &engine,
-                backend.as_ref(),
-                &mappings,
-                &batches,
-                s.training.num_batches(),
-            )
-        }
-    }?;
-    if args.switch("json") {
-        obs.finish("sweep", &mut String::new())?;
-        return to_json(&amped_report::artifacts::sweep_value(&sweep));
-    }
-    let mut out = amped_report::artifacts::sweep_text(&sweep);
-    obs.finish("sweep", &mut out)?;
-    Ok(out)
-}
-
-fn trace(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
+fn trace(s: &ResolvedScenario) -> Result<String> {
     let result =
         SimConfig::from_scenario(&s.to_scenario()).simulate_iteration(s.training.global_batch())?;
     Ok(amped_sim::trace::to_chrome_trace(&result.timeline))
 }
 
-fn energy(args: &Args) -> Result<String> {
+fn energy(s: &ResolvedScenario) -> Result<String> {
     use amped_energy::{CostModel, EnergyEstimate, PowerModel};
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
     let estimate = s.to_scenario().estimator().estimate(&s.training)?;
     let power = PowerModel::from_accelerator(&s.accelerator);
     let energy =
@@ -1089,13 +672,8 @@ fn energy(args: &Args) -> Result<String> {
     ))
 }
 
-fn sensitivity(args: &Args) -> Result<String> {
+fn sensitivity(args: &Args, s: &ResolvedScenario) -> Result<String> {
     use amped_core::SensitivityAnalysis;
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
     let factor: f64 = args.parse_or("factor", 2.0)?;
     let scenario = s.to_scenario();
     let tornado = SensitivityAnalysis::from_scenario(&scenario).tornado(factor, &s.training)?;
@@ -1116,16 +694,11 @@ fn sensitivity(args: &Args) -> Result<String> {
     ))
 }
 
-fn check(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
+fn check(s: &ResolvedScenario) -> String {
     let diagnostics =
         amped_core::check_scenario(&s.model, &s.system, &s.parallelism, &s.training);
     if diagnostics.is_empty() {
-        return Ok("configuration looks sane: no warnings".to_string());
+        return "configuration looks sane: no warnings".to_string();
     }
     let mut out = format!("{} finding(s):
 ", diagnostics.len());
@@ -1133,7 +706,26 @@ fn check(args: &Args) -> Result<String> {
         out.push_str(&format!("  {d}
 "));
     }
-    Ok(out)
+    out
+}
+
+fn memory(s: &ResolvedScenario) -> String {
+    let scenario = s.to_scenario();
+    let mem = MemoryModel::from_scenario(&scenario)
+        .with_optimizer(OptimizerSpec::adam_mixed_precision());
+    let ub = s.parallelism.microbatch_size(s.training.global_batch());
+    let n_ub = s.parallelism.num_microbatches(s.training.global_batch());
+    let fp = mem.footprint(ub, n_ub);
+    format!(
+        "per-device footprint at ub={ub:.1} x{n_ub}: {}\ncapacity {}: {}",
+        fp,
+        amped_core::units::format_bytes(s.accelerator.memory_bytes()),
+        if fp.total() <= s.accelerator.memory_bytes() {
+            "fits"
+        } else {
+            "DOES NOT FIT"
+        }
+    )
 }
 
 /// `amped serve` — run the HTTP query service until SIGINT (or a
@@ -1199,30 +791,6 @@ fn loadtest(args: &Args) -> Result<String> {
         text.push_str("\nall requests succeeded");
     }
     Ok(text)
-}
-
-fn memory(args: &Args) -> Result<String> {
-    let r = resolution(args, FlagSet::default(), None)?;
-    if let Some(dump) = dump_resolved(args, &r) {
-        return dump;
-    }
-    let s = &r.scenario;
-    let scenario = s.to_scenario();
-    let mem = MemoryModel::from_scenario(&scenario)
-        .with_optimizer(OptimizerSpec::adam_mixed_precision());
-    let ub = s.parallelism.microbatch_size(s.training.global_batch());
-    let n_ub = s.parallelism.num_microbatches(s.training.global_batch());
-    let fp = mem.footprint(ub, n_ub);
-    Ok(format!(
-        "per-device footprint at ub={ub:.1} x{n_ub}: {}\ncapacity {}: {}",
-        fp,
-        amped_core::units::format_bytes(s.accelerator.memory_bytes()),
-        if fp.total() <= s.accelerator.memory_bytes() {
-            "fits"
-        } else {
-            "DOES NOT FIT"
-        }
-    ))
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! For every compute endpoint, the body answered by an in-process
 //! `amped-serve` server must equal — byte for byte — the stdout of the
 //! equivalent `amped` CLI invocation (minus the trailing newline
-//! `println!` appends). Both front-ends parse scenarios with
-//! `amped-configs` and render through `amped_report::artifacts`; this test
-//! is the tripwire that keeps them from drifting apart, at any worker
-//! count and any cache warmth.
+//! `println!` appends). Both front-ends are transports over one operation
+//! layer, `amped_serve::ops`; these tests pin what the transports add on
+//! top of it (flag vs query-parameter reading, `--config` vs request
+//! body, error rendering) at any worker count and any cache warmth.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -193,6 +193,7 @@ fn server_responses_are_byte_identical_to_the_cli() {
     let megatron = write_scenario("megatron.json", MEGATRON);
     let domains = write_scenario("domains.json", DOMAINS);
     let infer = write_scenario("infer.json", INFER);
+    let empty = write_scenario("empty.json", "{}");
     let cases: &[(&str, &str, &std::path::Path, &[&str])] = &[
         // (endpoint+query, body, config path, extra CLI flags)
         ("/v1/estimate", SMALL, &small, &["estimate", "--json"]),
@@ -285,6 +286,76 @@ fn server_responses_are_byte_identical_to_the_cli() {
                 "--rack-mtbf",
                 "500",
             ],
+        ),
+        // Recommend never prunes on either front-end, so the alternatives
+        // and margin are the true runner-ups (on this shape a pruned
+        // ranking drops one of them).
+        (
+            "/v1/recommend?model=mingpt-85m&accel=v100&nodes=4&per-node=2&batch=64&prune=true",
+            "{}",
+            &empty,
+            &[
+                "recommend",
+                "--json",
+                "--model",
+                "mingpt-85m",
+                "--accel",
+                "v100",
+                "--nodes",
+                "4",
+                "--per-node",
+                "2",
+                "--batch",
+                "64",
+                "--prune",
+            ],
+        ),
+        (
+            "/v1/recommend?goodput=1000&domains=2,2&rack-mtbf=500",
+            SMALL,
+            &small,
+            &[
+                "recommend",
+                "--json",
+                "--goodput",
+                "1000",
+                "--domains",
+                "2,2",
+                "--rack-mtbf",
+                "500",
+            ],
+        ),
+        // `goodput` given bare or as `=true` selects the default MTBF, as
+        // the CLI's valueless `--goodput` does.
+        (
+            "/v1/search?goodput&top=3",
+            SMALL,
+            &small,
+            &["search", "--json", "--goodput", "--top", "3"],
+        ),
+        (
+            "/v1/search?goodput=true&top=3",
+            SMALL,
+            &small,
+            &["search", "--json", "--goodput", "--top", "3"],
+        ),
+        (
+            "/v1/search?memory-filter=true&top=5",
+            SMALL,
+            &small,
+            &["search", "--json", "--memory-filter", "--top", "5"],
+        ),
+        (
+            "/v1/estimate?backend=sim",
+            SMALL,
+            &small,
+            &["estimate", "--json", "--backend", "sim"],
+        ),
+        (
+            "/v1/sweep?backend=sim&jobs=2",
+            SMALL,
+            &small,
+            &["sweep", "--backend", "sim", "--jobs", "2"],
         ),
     ];
 
@@ -483,6 +554,9 @@ fn validation_errors_are_byte_identical_across_front_ends() {
             "/v1/infer?prompt=0",
             "{}",
         ),
+        // Execution parameters share one parser and one error spelling.
+        (&["search", "--top", "lots"], "/v1/search?top=lots", "{}"),
+        (&["search", "--goodput", "soon"], "/v1/search?goodput=soon", "{}"),
     ];
     for (cli_args, target, body) in cases {
         let expected = cli_failure(cli_args);

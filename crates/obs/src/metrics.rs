@@ -66,28 +66,18 @@ impl Gauge {
     }
 }
 
-/// A latency timer guard from [`Observer::timer`]: on drop it bumps
-/// `{prefix}.count`, adds the elapsed microseconds to `{prefix}.us_total`,
-/// raises the `{prefix}.us_max` gauge, and records the sample into the
-/// `{prefix}.us` histogram so latency is a full distribution, not just a
-/// count/total/max triple. The legacy series keep their names; the
-/// histogram's `count`/`sum` agree with them exactly (tested).
+/// A latency timer guard from [`Observer::timer`]: on drop it records the
+/// elapsed microseconds into the `{prefix}.us` histogram, which carries
+/// the count, sum and max along with the full distribution.
 #[derive(Debug)]
 pub struct Timer {
-    pub(crate) count: Counter,
-    pub(crate) us_total: Counter,
-    pub(crate) us_max: Gauge,
     pub(crate) latency: Arc<Histogram>,
     pub(crate) start: Instant,
 }
 
 impl Drop for Timer {
     fn drop(&mut self) {
-        let us = self.start.elapsed().as_micros() as u64;
-        self.count.incr();
-        self.us_total.add(us);
-        self.us_max.max(us as f64);
-        self.latency.record(us);
+        self.latency.record(self.start.elapsed().as_micros() as u64);
     }
 }
 
@@ -264,16 +254,12 @@ impl Observer {
         *self.devices.lock().expect("device registry poisoned") = devices;
     }
 
-    /// Open a latency timer that records under `prefix` when dropped:
-    /// `{prefix}.count` and `{prefix}.us_total` counters plus a
-    /// `{prefix}.us_max` gauge. Unlike [`Observer::span`] this keeps no
-    /// per-event record, so it is safe on hot paths of long-lived
-    /// processes where an unbounded span log would be a leak.
+    /// Open a latency timer that records into the `{prefix}.us` histogram
+    /// when dropped. Unlike [`Observer::span`] this keeps no per-event
+    /// record, so it is safe on hot paths of long-lived processes where an
+    /// unbounded span log would be a leak.
     pub fn timer(&self, prefix: &str) -> Timer {
         Timer {
-            count: self.counter(&format!("{prefix}.count")),
-            us_total: self.counter(&format!("{prefix}.us_total")),
-            us_max: self.gauge(&format!("{prefix}.us_max")),
             latency: self.histogram(&format!("{prefix}.us")),
             start: Instant::now(),
         }
@@ -488,40 +474,23 @@ mod tests {
     }
 
     #[test]
-    fn timer_records_count_total_and_max() {
-        let obs = Observer::new();
-        for _ in 0..3 {
-            drop(obs.timer("serve.http.estimate"));
-        }
-        let counters = obs.counters();
-        assert_eq!(counters["serve.http.estimate.count"], 3);
-        let total = counters["serve.http.estimate.us_total"];
-        let max = obs.gauges()["serve.http.estimate.us_max"];
-        assert!(max <= total as f64, "max {max} > total {total}");
-    }
-
-    #[test]
-    fn timer_histogram_agrees_with_legacy_series() {
-        // Regression for the Timer distribution fix: the new `{p}.us`
-        // histogram must agree exactly with the legacy `{p}.count` and
-        // `{p}.us_total` series — same drops, same microseconds.
+    fn timer_records_into_its_histogram_only() {
         let obs = Observer::new();
         for _ in 0..5 {
             let t = obs.timer("serve.http.estimate");
             std::thread::sleep(std::time::Duration::from_micros(50));
             drop(t);
         }
-        let counters = obs.counters();
         let h = obs.histogram("serve.http.estimate.us");
-        assert_eq!(h.count(), counters["serve.http.estimate.count"]);
-        assert_eq!(h.sum(), counters["serve.http.estimate.us_total"]);
-        assert_eq!(
-            h.max().unwrap() as f64,
-            obs.gauges()["serve.http.estimate.us_max"]
-        );
+        assert_eq!(h.count(), 5);
+        assert!(h.sum() >= 5 * 50, "{} us over five 50 us sleeps", h.sum());
+        assert!(h.max().unwrap() <= h.sum());
         let summary = &obs.histograms()["serve.http.estimate.us"];
         assert_eq!(summary.count, 5);
         assert!(summary.p50 <= summary.p99 && summary.p99 <= summary.max as f64);
+        // The histogram is the whole record: no side counters or gauges.
+        assert!(obs.counters().is_empty(), "{:?}", obs.counters());
+        assert!(obs.gauges().is_empty(), "{:?}", obs.gauges());
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! **Determinism contract:** a compute response body is byte-identical to
 //! the stdout of the equivalent CLI invocation (minus the trailing
 //! newline), at any worker count and regardless of cache warmth. Both
-//! front ends parse scenarios with `amped-configs` and render through
-//! `amped_report::artifacts`, and the shared cache pool only memoizes
+//! front ends are transports over one operation layer, [`ops`]: the same
+//! parameter parsing, scenario resolution, engine configuration and
+//! artifact rendering, and the shared cache pool only memoizes
 //! bit-identical results.
 //!
 //! Concurrency is bounded end to end: a fixed worker pool prices requests
@@ -52,6 +53,7 @@ pub mod access;
 pub mod api;
 pub mod http;
 pub mod loadtest;
+pub mod ops;
 pub mod server;
 
 pub use access::{AccessEntry, AccessLog};
