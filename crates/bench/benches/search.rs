@@ -1,8 +1,8 @@
 //! Criterion benches of the design-space exploration engine: enumeration
 //! and full ranked searches at two system sizes.
 //!
-//! `search/rank_all_16x8` exercises the default engine (batched kernel,
-//! worker pool sized to the host); `search/rank_all_16x8_pruned` adds
+//! `search/rank_all_16x8` exercises the default engine (batched kernel on
+//! the caller's thread); `search/rank_all_16x8_pruned` adds best-first
 //! branch-and-bound pruning. The repository benchmark (`bench_layers`,
 //! workload `search-train`) measures the same path end to end.
 

@@ -207,6 +207,30 @@ mod tests {
     }
 
     #[test]
+    fn total_parameters_is_the_layer_stack_sum_to_the_bit() {
+        for name in crate::registry::model_names() {
+            let m = crate::registry::model(name).expect("listed preset resolves");
+            let layers: f64 = m
+                .layer_stack()
+                .iter()
+                .filter(|k| **k != amped_core::LayerKind::Head)
+                .map(|&k| m.layer_weights(k))
+                .sum();
+            let head = if m.include_head() {
+                m.layer_weights(amped_core::LayerKind::Head)
+            } else {
+                0.0
+            };
+            let reference = layers + head + m.embedding_parameters();
+            assert_eq!(
+                m.total_parameters().to_bits(),
+                reference.to_bits(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn glam_is_sparse() {
         let g = glam_64e();
         assert_eq!(g.num_moe_layers(), 32);

@@ -157,8 +157,8 @@ pub enum BreakdownFidelity {
 ///
 /// Implementations must be deterministic: the same scenario and training
 /// config return the same [`Estimate`] bit-for-bit, which is what lets the
-/// search rank candidates reproducibly at any worker count. `Sync` is part
-/// of the contract so one backend instance can serve a worker pool.
+/// search rank candidates reproducibly. `Sync` is part of the contract so
+/// one backend instance can be shared across threads.
 pub trait CostBackend: Sync {
     /// A short stable identifier (`"analytical"`, `"sim"`, …) used in CLI
     /// flags and report provenance.

@@ -229,12 +229,17 @@ impl TransformerModel {
 
     /// Total trainable parameters, embeddings included.
     pub fn total_parameters(&self) -> f64 {
-        let layers: f64 = self
-            .layer_stack()
-            .iter()
-            .filter(|k| **k != LayerKind::Head)
-            .map(|&k| self.layer_weights(k))
-            .sum();
+        // One weight count per kind, added layer by layer in stack order:
+        // the same sum as walking `layer_stack()`, without building it.
+        let dense = self.layer_weights(LayerKind::Dense);
+        let moe = self.moe.map(|_| self.layer_weights(LayerKind::Moe));
+        let mut layers = 0.0;
+        for i in 0..self.num_layers {
+            layers += match moe {
+                Some(w) if self.is_moe_layer(i) => w,
+                _ => dense,
+            };
+        }
         let head = if self.include_head {
             self.layer_weights(LayerKind::Head)
         } else {

@@ -50,12 +50,12 @@ pub fn gemm_efficiency(m: f64, k: f64, n: f64, bytes_per_operand: f64, balance: 
 /// attention-times-values, output projection and the two MLP matrices,
 /// with their FLOP weights. Training evaluates at the model's context;
 /// inference prefill runs the same GEMMs over the prompt.
-fn layer_gemms_with_seq(model: &TransformerModel, ub: f64, s: f64) -> Vec<(f64, f64, f64)> {
+fn layer_gemms_with_seq(model: &TransformerModel, ub: f64, s: f64) -> [(f64, f64, f64); 6] {
     let h = model.hidden_size() as f64;
     let a = model.num_heads() as f64;
     let f = model.ffn_mult();
     let t = ub * s;
-    vec![
+    [
         (t, h, 3.0 * h),       // fused QKV projection
         (s, h / a, s),         // scores, per head (shape matters, not count)
         (s, s, h / a),         // attention · V, per head

@@ -62,15 +62,31 @@ impl<'a> InferEstimator<'a> {
     /// [`Error::Incompatible`](amped_core::Error) when the scenario's
     /// parallelism does not tile its system or model.
     pub fn estimate(&self, config: &InferenceConfig) -> Result<InferEstimate> {
+        self.estimate_with(config, &self.kv_model(config))
+    }
+
+    /// [`InferEstimator::estimate`] against a KV model built once by the
+    /// caller — a serving search builds one per mapping and prices every
+    /// batch of its ladder against it. `kv` must describe this scenario's
+    /// model and mapping at `config`'s KV width (what
+    /// [`InferEstimator::kv_model`] returns for any batch).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`InferEstimator::estimate`].
+    pub fn estimate_with(
+        &self,
+        config: &InferenceConfig,
+        kv: &KvCacheModel<'_>,
+    ) -> Result<InferEstimate> {
         let s = self.scenario;
         s.parallelism.validate_against(&s.system, &s.model)?;
-        let kv = self.kv_model(config);
         let footprint = kv.footprint(config.batch(), config.max_context());
         let capacity = s.accelerator.memory_bytes();
 
-        let prefill = self.prefill_phase(config, &kv);
-        let first_step = self.decode_phase(config, &kv, config.prompt_tokens() as f64);
-        let decode = self.decode_phase(config, &kv, config.mean_decode_context());
+        let prefill = self.prefill_phase(config, kv);
+        let first_step = self.decode_phase(config, kv, config.prompt_tokens() as f64);
+        let decode = self.decode_phase(config, kv, config.mean_decode_context());
 
         let ttft = prefill.total.get() + first_step.total.get();
         let tpot = decode.total.get();
@@ -250,7 +266,20 @@ impl<'a> InferEstimator<'a> {
 /// candidate that would have ranked.
 pub fn latency_lower_bound(scenario: &Scenario, config: &InferenceConfig) -> Result<f64> {
     let est = InferEstimator::new(scenario);
-    let kv = est.kv_model(config);
+    latency_lower_bound_with(scenario, config, &est.kv_model(config))
+}
+
+/// [`latency_lower_bound`] against a KV model built once by the caller,
+/// under the contract of [`InferEstimator::estimate_with`].
+///
+/// # Errors
+///
+/// Same conditions as [`latency_lower_bound`].
+pub fn latency_lower_bound_with(
+    scenario: &Scenario,
+    config: &InferenceConfig,
+    kv: &KvCacheModel<'_>,
+) -> Result<f64> {
     let model = &scenario.model;
     let (h, f) = (model.hidden_size() as f64, model.ffn_mult());
     let layers = model.num_layers() as f64;

@@ -68,4 +68,4 @@ mod estimator;
 pub use amped_core::InferenceConfig;
 pub use backend::{AnalyticalInferBackend, InferBackend, ObservedInferBackend};
 pub use estimate::{InferEstimate, PhaseBreakdown};
-pub use estimator::{latency_lower_bound, InferEstimator};
+pub use estimator::{latency_lower_bound, latency_lower_bound_with, InferEstimator};

@@ -232,7 +232,7 @@ impl std::fmt::Display for MemoryFootprint {
 pub struct MemoryModel<'a> {
     model: &'a TransformerModel,
     parallelism: &'a Parallelism,
-    // `TransformerModel::total_parameters` walks the layer stack; the
+    // `TransformerModel::total_parameters` loops over every layer; the
     // footprint needs it on every call, so it is computed once here.
     total_params: f64,
     precision: Precision,

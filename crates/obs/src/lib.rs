@@ -15,8 +15,8 @@
 //! Instrumentation is strictly *passive*. Counters and gauges are atomics
 //! or mutex-guarded maps written on the side; spans only read the clock.
 //! No estimate, ranking, or simulated makespan may depend on whether an
-//! observer is attached — the search's bit-identical-at-any-`--jobs`
-//! guarantee holds with instrumentation on or off (and is tested). When no
+//! observer is attached — the search's bit-identical rankings and
+//! accounting hold with instrumentation on or off (and are tested). When no
 //! observer is attached the cost is a single `Option` check per site:
 //! zero-overhead when disabled.
 //!
@@ -25,7 +25,8 @@
 //! * [`Observer::report`] → [`RunReport`] → [`RunReport::to_json`]: the
 //!   machine-readable metrics file behind the CLI's `--metrics-out`.
 //! * [`Observer::chrome_trace`]: the recorded spans as a Chrome Trace
-//!   Event JSON array (one track per worker thread), the search half of
+//!   Event JSON array (one track per recording thread; a search records
+//!   on its caller's), the search half of
 //!   the CLI's unified `--trace-out`. Simulator timelines use the same
 //!   [`chrome_trace`] writer via `amped-sim`.
 //! * [`prometheus_exposition`]: every counter, gauge, and [`Histogram`]

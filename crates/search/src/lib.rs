@@ -22,20 +22,22 @@
 //! Three cooperating optimisations keep large sweeps fast, all with
 //! deterministic output (see DESIGN.md, "Search architecture"):
 //!
-//! * **Parallel evaluation** — candidates fan out over a scoped worker
-//!   pool ([`SearchEngine::with_parallelism`]); rankings are sorted by a
-//!   total key (time, then parallelism degrees) so the result is identical
-//!   for any worker count.
-//! * **Batched, memoized pricing** — each worker prices chunks of
-//!   candidates through one pass of the pricing kernel
-//!   ([`BatchEvaluator`](amped_core::BatchEvaluator)) against its own
-//!   [`EstimateCache`](amped_core::EstimateCache), so scenario-invariant
-//!   sub-results are computed once instead of per candidate, and a
+//! * **One executor on the caller's thread** — both searches walk their
+//!   candidates through one branch-and-bound executor: filter by memory
+//!   and bound in enumeration order, sort the survivors by bound, then
+//!   evaluate best-first. No threads are spawned and nothing outlives the
+//!   call; rankings are sorted by a total key (time, then parallelism
+//!   degrees).
+//! * **Batched, memoized pricing** — the training search hoists the
+//!   candidate-invariant terms once per pass
+//!   ([`BatchEvaluator::prepare`](amped_core::BatchEvaluator::prepare))
+//!   and prices each mapping's microbatch variants in one kernel call
+//!   against one [`EstimateCache`](amped_core::EstimateCache), and a
 //!   closed-form memory solve drops microbatch variants that cannot win.
-//! * **Branch-and-bound pruning** — a compute-only lower bound lets
-//!   workers skip full evaluation of candidates that cannot beat the best
-//!   time seen so far ([`SearchEngine::with_pruning`]); the bound is exact
-//!   in f64, so pruning never drops a candidate that would have ranked.
+//! * **Branch-and-bound pruning** — a compute-only lower bound lets the
+//!   search stop before candidates that cannot beat the best time found
+//!   so far ([`SearchEngine::with_pruning`]); the bound is exact in f64,
+//!   so pruning never drops a candidate that would have ranked.
 //!
 //! # Example
 //!
@@ -60,6 +62,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod executor;
 pub mod placement;
 pub mod recommend;
 pub mod serving;
@@ -73,7 +76,6 @@ pub use serving::{
 };
 pub use sweep::{Sweep, SweepCell, SweepPoint, SweepRow};
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amped_core::{
@@ -88,6 +90,7 @@ use amped_memory::{MemoryFootprint, MemoryModel, MicrobatchFit, OptimizerSpec, P
 pub use amped_memory::CapacityFailure;
 use amped_obs::Observer;
 use amped_sim::{FaultPlan, SimBackend};
+use executor::{Explored, Screened, Space};
 use serde::{Deserialize, Serialize};
 
 /// Constraints on the enumeration of parallelism mappings.
@@ -297,7 +300,7 @@ impl Candidate {
 /// The six parallelism degrees as a lexicographic sort key. Together with
 /// the estimated time this is a *total* order over candidates (no two
 /// enumerated mappings share all six degrees), which is what makes rankings
-/// independent of evaluation order and worker count.
+/// independent of evaluation order.
 fn parallelism_key(p: &Parallelism) -> [usize; 6] {
     [
         p.tp_intra(),
@@ -320,7 +323,7 @@ fn candidate_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
 
 /// Order within a simulator-refined block: refined candidates first by
 /// their simulated time (ties by parallelism degrees — a total order, so
-/// the refined ranking is reproducible at any worker count); candidates
+/// the refined ranking is reproducible); candidates
 /// the simulator rejected sink below every refined one, keeping their
 /// analytical order among themselves.
 fn refined_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
@@ -334,24 +337,6 @@ fn refined_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
         (None, Some(_)) => std::cmp::Ordering::Greater,
         (None, None) => candidate_order(a, b),
     }
-}
-
-/// What happened to one candidate during a (possibly pruned) search pass.
-enum Outcome {
-    /// Skipped: its lower bound already exceeded the incumbent best time.
-    Pruned,
-    /// Evaluated, but every microbatch variant failed the memory filter;
-    /// carries the first capacity inequality violated (at the smallest
-    /// microbatch, the mapping's most feasible point).
-    Filtered(CapacityFailure),
-    /// Evaluated and retained.
-    Kept {
-        /// The candidate's compute-only lower bound (`-inf` when pruning is
-        /// off), used by the deterministic post-filter.
-        lower_bound: f64,
-        /// The winning microbatch variant.
-        candidate: Box<Candidate>,
-    },
 }
 
 /// One evaluated mapping: the winning microbatch variant, or the capacity
@@ -395,17 +380,19 @@ impl MemoryRejections {
     }
 }
 
-/// Candidate accounting of one search pass. The identities
-/// `generated = pruned + kept + memory_rejected.total()` hold exactly at
-/// any worker count (the pruned/kept split itself depends on thread timing
-/// only when pruning is on; the retained ranking never does).
+/// Candidate accounting of one search pass:
+/// `generated = pruned + kept + memory_rejected.total()` holds exactly.
+/// Every field depends only on the input. The memory filter runs before
+/// any pruning, so `memory_rejected` is the same with pruning on or off;
+/// the pruned/kept split follows from the best-first evaluation order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SearchStats {
     /// Mappings enumerated.
     pub generated: u64,
-    /// Mappings skipped by branch-and-bound pruning.
+    /// Mappings skipped by branch-and-bound pruning without evaluation.
     pub pruned: u64,
-    /// Mappings that produced a ranked candidate.
+    /// Mappings evaluated. With pruning on, the ranking keeps those whose
+    /// lower bound does not exceed the best objective.
     pub kept: u64,
     /// Mappings rejected by the memory filter, by failing inequality.
     pub memory_rejected: MemoryRejections,
@@ -426,7 +413,6 @@ pub struct SearchEngine<'a> {
     schedule: PipelineSchedule,
     require_memory_fit: bool,
     tune_microbatches: bool,
-    jobs: usize,
     prune: bool,
     refine_sim: usize,
     goodput: Option<GoodputOptions>,
@@ -435,33 +421,33 @@ pub struct SearchEngine<'a> {
     cache_pool: Option<Arc<CachePool>>,
 }
 
-/// The memoization cache one search worker evaluates against: either a
+/// The memoization cache a search pass evaluates against: either a
 /// private fresh cache (the default) or a lease from a shared
 /// [`CachePool`], so a long-lived process can carry warmed sub-results
 /// across searches. Both are bit-identical to evaluate against (warming a
 /// cache never changes a kernel result), so attaching a pool is
 /// as invisible to rankings as attaching an observer.
-enum WorkerCache<'pool> {
+enum PassCache<'pool> {
     Fresh(EstimateCache),
     Pooled(CacheLease<'pool>),
 }
 
-impl std::ops::Deref for WorkerCache<'_> {
+impl std::ops::Deref for PassCache<'_> {
     type Target = EstimateCache;
 
     fn deref(&self) -> &EstimateCache {
         match self {
-            WorkerCache::Fresh(cache) => cache,
-            WorkerCache::Pooled(lease) => lease,
+            PassCache::Fresh(cache) => cache,
+            PassCache::Pooled(lease) => lease,
         }
     }
 }
 
-impl std::ops::DerefMut for WorkerCache<'_> {
+impl std::ops::DerefMut for PassCache<'_> {
     fn deref_mut(&mut self) -> &mut EstimateCache {
         match self {
-            WorkerCache::Fresh(cache) => cache,
-            WorkerCache::Pooled(lease) => lease,
+            PassCache::Fresh(cache) => cache,
+            PassCache::Pooled(lease) => lease,
         }
     }
 }
@@ -486,7 +472,6 @@ impl<'a> SearchEngine<'a> {
             schedule: PipelineSchedule::default(),
             require_memory_fit: false,
             tune_microbatches: true,
-            jobs: 0,
             prune: false,
             refine_sim: 0,
             goodput: None,
@@ -538,20 +523,12 @@ impl<'a> SearchEngine<'a> {
         self
     }
 
-    /// Number of worker threads evaluating candidates (0 = one per
-    /// available CPU, the default). `1` forces the in-thread serial path —
-    /// the reference for differential tests. Rankings are identical for
-    /// every worker count.
-    pub fn with_parallelism(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Enable branch-and-bound pruning (default off): candidates whose
-    /// compute-only lower bound exceeds the best total time seen so far
-    /// skip full estimation, memory and energy accounting. The bound is
-    /// exact in f64 against the kernel's totals, so the pruned ranking is
-    /// the truncation of the full ranking to candidates with
+    /// Enable branch-and-bound pruning (default off): mappings are
+    /// evaluated in order of their compute-only lower bound, and the search
+    /// stops at the first bound above the best total time found so far —
+    /// the rest skip full estimation, memory and energy accounting. The
+    /// bound is exact in f64 against the kernel's totals, so the pruned
+    /// ranking is the truncation of the full ranking to candidates with
     /// `lower_bound <= best_time` — deterministic and always containing the
     /// optimum.
     pub fn with_pruning(mut self, prune: bool) -> Self {
@@ -561,10 +538,9 @@ impl<'a> SearchEngine<'a> {
 
     /// Re-rank the analytical top-`k` through the discrete-event simulator
     /// (default 0 = off): after the analytical prune + rank, the `k`
-    /// fastest candidates are re-priced by [`SimBackend`] over the same
-    /// worker pool and re-ordered by simulated time (deterministic
-    /// tie-breaking by parallelism degrees, so refined rankings are
-    /// reproducible at any [`SearchEngine::with_parallelism`] setting).
+    /// fastest candidates are re-priced by [`SimBackend`] one after another
+    /// and re-ordered by simulated time (deterministic tie-breaking by
+    /// parallelism degrees, so refined rankings are reproducible).
     /// Candidates the simulator rejects — e.g. the GPipe last-stage
     /// microbatch gather exceeds device memory — keep `refined = None` and
     /// sink below every refined candidate. The tail beyond `k` keeps its
@@ -605,31 +581,28 @@ impl<'a> SearchEngine<'a> {
     /// `search.refine`), candidate counters
     /// (`search.candidates.{generated,pruned,evaluated,memory_rejected,kept}`),
     /// memoization cache traffic (`search.cache.{hits,misses,lookups}`),
-    /// per-candidate `prune`/`evaluate`/`refine` spans on one trace track
-    /// per worker thread, and — through the simulator-refinement backend —
-    /// the `backend.sim.*` and `sim.des.*` series.
+    /// per-candidate `prune`/`evaluate`/`refine` spans on the caller's
+    /// trace track, and — through the simulator-refinement backend — the
+    /// `backend.sim.*` and `sim.des.*` series.
     ///
-    /// Observation is passive: rankings and every estimate in them are
-    /// bit-identical with or without an observer, at any worker count. The
-    /// counters satisfy exact identities (`generated = pruned + evaluated`,
-    /// `evaluated = kept + memory_rejected`,
-    /// `lookups = hits + misses`) even though the individual `pruned` /
-    /// `evaluated` split varies with thread timing when `jobs > 1` (the
-    /// incumbent bound tightens at different moments).
+    /// Observation is passive: rankings, [`SearchStats`] and every estimate
+    /// are bit-identical with or without an observer. The counters satisfy
+    /// exact identities (`generated = pruned + evaluated`,
+    /// `evaluated = kept + memory_rejected`, `lookups = hits + misses`),
+    /// and like the stats they depend only on the input.
     pub fn with_observer(mut self, observer: Arc<Observer>) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// Share a process-wide [`CachePool`] across searches: workers check
-    /// their [`EstimateCache`](amped_core::EstimateCache)s out of the pool
+    /// Share a process-wide [`CachePool`] across searches: each pass checks
+    /// its [`EstimateCache`](amped_core::EstimateCache) out of the pool
     /// (shelved under this engine's [`context_key`](amped_core::context_key),
-    /// so the cache's context-binding contract still holds) and return
-    /// them warmed when the pass finishes. Repeated or overlapping
-    /// searches over the same scenario then start with their sub-results
-    /// memoized. Like an observer, a pool is passive: rankings and every
-    /// estimate in them are bit-identical with or without one, at any
-    /// worker count.
+    /// so the cache's context-binding contract still holds) and returns it
+    /// warmed when the pass finishes. Repeated or overlapping searches
+    /// over the same scenario then start with their sub-results memoized.
+    /// Like an observer, a pool is passive: rankings and every estimate in
+    /// them are bit-identical with or without one.
     pub fn with_cache_pool(mut self, pool: Arc<CachePool>) -> Self {
         self.cache_pool = Some(pool);
         self
@@ -695,8 +668,7 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Evaluate every mapping for `training`, sorted fastest-first (ties
-    /// broken by the parallelism degrees, so the ranking is a total order
-    /// and identical for every worker count).
+    /// broken by the parallelism degrees, so the ranking is a total order).
     ///
     /// With pruning on, the result is the full ranking truncated to
     /// candidates whose compute-only lower bound does not exceed the best
@@ -727,75 +699,62 @@ impl<'a> SearchEngine<'a> {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.enumerate"));
             enumerate_mappings(self.system, self.model, &self.enumeration)
         };
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = {
+        let explored = {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.explore"));
-            self.explore_all(&mappings, std::slice::from_ref(training), &best_bits)
+            self.explore(&mappings, std::slice::from_ref(training))?
         };
         let _rank_phase = self.observer.as_ref().map(|o| o.phase("search.rank"));
-        let mut stats = SearchStats {
-            generated: mappings.len() as u64,
-            ..SearchStats::default()
-        };
-        let mut kept: Vec<(f64, Candidate)> = Vec::new();
-        for outcome in outcomes {
-            match outcome? {
-                Outcome::Pruned => stats.pruned += 1,
-                Outcome::Filtered(failure) => stats.memory_rejected.record(failure),
-                Outcome::Kept {
-                    lower_bound,
-                    candidate,
-                } => kept.push((lower_bound, *candidate)),
-            }
-        }
-        stats.kept = kept.len() as u64;
-        let n_filtered = stats.memory_rejected.total();
-        if let Some(obs) = &self.observer {
-            // Counted post-hoc from the collected outcomes, so workers never
-            // touch shared counters in their hot loop. The identities
-            // generated = pruned + evaluated and
-            // evaluated = kept + memory_rejected hold exactly at any worker
-            // count (the pruned/evaluated split itself is timing-dependent).
-            obs.add("search.candidates.generated", mappings.len() as u64);
-            obs.add("search.candidates.pruned", stats.pruned);
-            obs.add("search.candidates.memory_rejected", n_filtered);
-            obs.add("search.candidates.kept", kept.len() as u64);
-            obs.add("search.candidates.evaluated", n_filtered + kept.len() as u64);
-        }
-        if self.prune {
-            // Which candidates get skipped at runtime depends on thread
-            // timing; retaining exactly {lower_bound <= best total} does
-            // not (every runtime-skipped candidate had a bound above the
-            // incumbent, which never drops below the final best).
-            let best_time = kept
-                .iter()
-                .map(|(_, c)| c.objective_time())
-                .fold(f64::INFINITY, f64::min);
-            kept.retain(|(lb, _)| *lb <= best_time);
-        }
-        let mut out: Vec<Candidate> = kept.into_iter().map(|(_, c)| c).collect();
+        let stats = self.account(mappings.len(), &explored);
+        let mut out: Vec<Candidate> = explored.kept.into_iter().map(|(_, c)| c).collect();
         out.sort_by(candidate_order);
         drop(_rank_phase);
         if self.refine_sim > 0 {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.refine"));
-            self.refine(&mut out, training)?;
+            self.refine(&mut out, training);
         }
         Ok((out, stats))
+    }
+
+    /// The accounting of a pass over `generated` candidates, also recorded
+    /// on the observer (`generated = pruned + evaluated` and
+    /// `evaluated = kept + memory_rejected` hold exactly).
+    fn account(
+        &self,
+        generated: usize,
+        explored: &Explored<Candidate, CapacityFailure>,
+    ) -> SearchStats {
+        let mut stats = SearchStats {
+            generated: generated as u64,
+            pruned: explored.pruned,
+            kept: explored.evaluated,
+            ..SearchStats::default()
+        };
+        for &failure in &explored.rejected {
+            stats.memory_rejected.record(failure);
+        }
+        if let Some(obs) = &self.observer {
+            let rejected = stats.memory_rejected.total();
+            obs.add("search.candidates.generated", stats.generated);
+            obs.add("search.candidates.pruned", stats.pruned);
+            obs.add("search.candidates.memory_rejected", rejected);
+            obs.add("search.candidates.kept", stats.kept);
+            obs.add("search.candidates.evaluated", rejected + stats.kept);
+        }
+        stats
     }
 
     /// Re-price the analytical top-`refine_sim` candidates through
     /// [`SimBackend`] and re-order that block by simulated time.
     ///
-    /// Refinement runs over the same worker pool as the analytical pass;
-    /// results land in index-ordered slots and the simulator is
-    /// deterministic, so refined rankings are bit-identical at any worker
-    /// count. A candidate the simulator rejects (e.g. the Fig. 2b last-stage
-    /// microbatch gather exceeds device memory) keeps `refined = None` and
-    /// sinks below every refined candidate in the block.
-    fn refine(&self, ranked: &mut [Candidate], training: &TrainingConfig) -> Result<()> {
+    /// The simulator is deterministic, so refined rankings are
+    /// bit-identical run to run. A candidate the simulator rejects (e.g.
+    /// the Fig. 2b last-stage microbatch gather exceeds device memory)
+    /// keeps `refined = None` and sinks below every refined candidate in
+    /// the block.
+    fn refine(&self, ranked: &mut [Candidate], training: &TrainingConfig) {
         let k = self.refine_sim.min(ranked.len());
         if k == 0 {
-            return Ok(());
+            return;
         }
         // Simulate the schedule the analytical pass assumed, so the sim's
         // memory gate judges candidates under the same in-flight activation
@@ -808,22 +767,20 @@ impl<'a> SearchEngine<'a> {
             backend = backend.with_fault_plan(plan.clone());
         }
         if let Some(obs) = &self.observer {
-            // Skip per-device utilization samples: refined candidates race
-            // on the worker pool and the samples are last-writer-wins, which
-            // would make the report depend on scheduling. Counters and spans
-            // are additive and stay exact.
+            // Skip per-device utilization samples: each refined candidate
+            // would overwrite the previous one's, so the report would
+            // describe whichever ran last. Counters and spans are additive
+            // and stay exact.
             backend = backend
                 .with_observer(obs.clone())
                 .without_device_samples();
         }
-        let refined = self.run_parallel(k, |_cache, i| {
-            let _span = self.observer.as_ref().map(|o| o.span("refine"));
-            let scenario = self.scenario_for(ranked[i].parallelism);
-            Ok(backend.evaluate(&scenario, training).ok())
-        });
+        let mut scenario = self.scenario_for(ranked[0].parallelism);
         let mut n_accepted = 0u64;
-        for (candidate, refined) in ranked.iter_mut().zip(refined) {
-            candidate.refined = refined?;
+        for candidate in &mut ranked[..k] {
+            let _span = self.observer.as_ref().map(|o| o.span("refine"));
+            scenario.parallelism = candidate.parallelism;
+            candidate.refined = backend.evaluate(&scenario, training).ok();
             if candidate.refined.is_some() {
                 n_accepted += 1;
             }
@@ -834,117 +791,33 @@ impl<'a> SearchEngine<'a> {
             obs.add("search.refine.rejected", k as u64 - n_accepted);
         }
         ranked[..k].sort_by(refined_order);
-        Ok(())
     }
 
-    /// Explore every mapping under each of `trainings` over the worker
-    /// pool, returning outcomes training-major, in mapping order. Workers
-    /// take contiguous chunks of mappings, each priced through one kernel
-    /// pass ([`SearchEngine::explore_chunk`]). Small enough chunks keep the
-    /// pool load-balanced (several chunks per worker), large enough ones
-    /// amortize the pass setup. The boundary cannot change results — only
-    /// the incumbent's tightening cadence, which the deterministic
-    /// post-filter normalizes.
-    fn explore_all(
+    /// Run every mapping under each of `trainings` (training-major)
+    /// through the branch-and-bound executor, against one cache and one
+    /// prepared kernel pass per training.
+    fn explore(
         &self,
         mappings: &[Parallelism],
         trainings: &[TrainingConfig],
-        best_bits: &AtomicU64,
-    ) -> Vec<Result<Outcome>> {
-        let jobs = self.effective_jobs(mappings.len());
-        let chunk = (mappings.len() / (4 * jobs)).clamp(1, 64);
-        let n_chunks = mappings.len().div_ceil(chunk);
-        let chunks = self.run_parallel(trainings.len() * n_chunks, |cache, i| {
-            let start = (i % n_chunks) * chunk;
-            let end = (start + chunk).min(mappings.len());
-            let training = &trainings[i / n_chunks];
-            Ok(self.explore_chunk(cache, &mappings[start..end], training, best_bits))
-        });
-        chunks
-            .into_iter()
-            .flat_map(|c| c.expect("chunk exploration itself is infallible"))
-            .collect()
-    }
-
-    /// Explore a contiguous run of mappings through one kernel pass: prune
-    /// each mapping against the shared incumbent best time, then price
-    /// every surviving mapping's microbatch variants in a single
-    /// [`Prepared::estimate_many`] call and fold each mapping's variants
-    /// into its winner.
-    fn explore_chunk(
-        &self,
-        cache: &mut EstimateCache,
-        chunk: &[Parallelism],
-        training: &TrainingConfig,
-        best_bits: &AtomicU64,
-    ) -> Vec<Result<Outcome>> {
+    ) -> Result<Explored<Candidate, CapacityFailure>> {
         let evaluator = self.batch_evaluator();
-        let kernel = match evaluator.prepare(cache, training) {
-            Ok(kernel) => kernel,
-            Err(e) => return chunk.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let mut out: Vec<Option<Result<Outcome>>> = (0..chunk.len()).map(|_| None).collect();
-        let mut lower_bounds = vec![f64::NEG_INFINITY; chunk.len()];
-        let mut spans = vec![(0usize, 0usize); chunk.len()];
-        let mut plans: Vec<Option<(MemoryModel<'_>, Option<SolveOutcome>)>> =
-            (0..chunk.len()).map(|_| None).collect();
-        let mut batched: Vec<Parallelism> = Vec::new();
-        for (i, p) in chunk.iter().enumerate() {
-            if self.prune {
-                let _span = self.observer.as_ref().map(|o| o.span("prune"));
-                // Total times are non-negative finite, for which the f64
-                // bit pattern orders like the value — so the incumbent can
-                // live in an AtomicU64 and be tightened with fetch_min.
-                match self.candidate_lower_bound(&kernel, cache, p, training) {
-                    Err(e) => {
-                        out[i] = Some(Err(e));
-                        continue;
-                    }
-                    Ok(lb) if lb > f64::from_bits(best_bits.load(Ordering::Relaxed)) => {
-                        out[i] = Some(Ok(Outcome::Pruned));
-                        continue;
-                    }
-                    Ok(lb) => lower_bounds[i] = lb,
-                }
-            }
-            let mem_model = self.memory_model(p);
-            let start = batched.len();
-            let (len, solved) = self.plan_variants(&mem_model, p, training, &mut batched);
-            spans[i] = (start, len);
-            plans[i] = Some((mem_model, solved));
-        }
-        let estimates = kernel.estimate_many(cache, &batched);
-        for (i, plan) in plans.iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            let (mem_model, solved) = plan.as_ref().expect("unresolved slots carry a plan");
-            let (start, len) = spans[i];
-            let _span = self.observer.as_ref().map(|o| o.span("evaluate"));
-            let outcome = self
-                .score_mapping(
-                    mem_model,
-                    solved,
-                    &batched[start..start + len],
-                    &estimates[start..start + len],
-                    training,
-                )
-                .map(|scored| match scored {
-                    Err(failure) => Outcome::Filtered(failure),
-                    Ok(candidate) => {
-                        best_bits
-                            .fetch_min(candidate.objective_time().to_bits(), Ordering::Relaxed);
-                        Outcome::Kept {
-                            lower_bound: lower_bounds[i],
-                            candidate,
-                        }
-                    }
-                });
-            out[i] = Some(outcome);
-        }
-        out.into_iter()
-            .map(|o| o.expect("every chunk slot is scored"))
-            .collect()
+        self.with_cache(|cache| {
+            let kernels = trainings
+                .iter()
+                .map(|t| evaluator.prepare(cache, t))
+                .collect::<Result<Vec<_>>>()?;
+            let mut space = TrainingSpace {
+                engine: self,
+                kernels,
+                trainings,
+                mappings,
+                cache,
+                plans: (0..trainings.len() * mappings.len()).map(|_| None).collect(),
+                variants: Vec::new(),
+            };
+            executor::explore(&mut space, trainings.len() * mappings.len(), self.prune)
+        })
     }
 
     /// This engine's configuration as a [`BatchEvaluator`].
@@ -955,102 +828,32 @@ impl<'a> SearchEngine<'a> {
             .with_options(self.engine_options)
     }
 
-    /// How many worker threads a run over `tasks` items should use.
-    fn effective_jobs(&self, tasks: usize) -> usize {
-        let requested = if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        };
-        requested.min(tasks).max(1)
-    }
-
-    /// The cache a worker evaluates against: a lease from the shared
-    /// [`CachePool`] when one is attached, a private fresh cache
-    /// otherwise. `pool_key` is this engine's context key, computed once
-    /// per pass (see [`SearchEngine::with_cache_pool`]).
-    fn worker_cache(&self, pool_key: Option<u64>) -> WorkerCache<'_> {
-        match (&self.cache_pool, pool_key) {
-            (Some(pool), Some(key)) => WorkerCache::Pooled(pool.checkout(key)),
-            _ => WorkerCache::Fresh(EstimateCache::new()),
-        }
-    }
-
-    /// Run `f(cache, index)` for every index in `0..tasks` over a scoped
-    /// worker pool (or inline when one worker suffices) and return the
-    /// results in index order. Each worker owns one [`EstimateCache`] —
-    /// checked out of the shared [`CachePool`] when one is attached —
-    /// upholding the cache's context-binding contract for this engine's
-    /// fixed scenario; indices are handed out through an atomic counter so
-    /// the pool load-balances regardless of per-candidate cost.
-    fn run_parallel<T, F>(&self, tasks: usize, f: F) -> Vec<Result<T>>
-    where
-        T: Send,
-        F: Fn(&mut EstimateCache, usize) -> Result<T> + Sync,
-    {
-        let pool_key = self.cache_pool.as_ref().map(|_| {
-            amped_core::context_key(
+    /// Run `f` against this pass's cache — a lease from the shared
+    /// [`CachePool`] (under this engine's context key) when one is
+    /// attached, a private fresh cache otherwise — and record the pass's
+    /// cache traffic on the observer. Only the delta is counted, so a
+    /// pre-warmed pool cache is not re-counted.
+    fn with_cache<T>(&self, f: impl FnOnce(&mut EstimateCache) -> T) -> T {
+        let mut cache = match &self.cache_pool {
+            Some(pool) => PassCache::Pooled(pool.checkout(amped_core::context_key(
                 self.model,
                 self.accel,
                 self.system,
                 self.precision,
                 &self.efficiency,
                 self.engine_options,
-            )
-        });
-        let jobs = self.effective_jobs(tasks);
-        if jobs <= 1 {
-            let mut cache = self.worker_cache(pool_key);
-            let (hits0, misses0) = (cache.hits(), cache.misses());
-            let out = (0..tasks).map(|i| f(&mut cache, i)).collect();
-            self.flush_cache_stats(cache.hits() - hits0, cache.misses() - misses0);
-            return out;
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<T>>> = (0..tasks).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut cache = self.worker_cache(pool_key);
-                        let (hits0, misses0) = (cache.hits(), cache.misses());
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= tasks {
-                                break;
-                            }
-                            done.push((i, f(&mut cache, i)));
-                        }
-                        self.flush_cache_stats(cache.hits() - hits0, cache.misses() - misses0);
-                        done
-                    })
-                })
-                .collect();
-            for worker in workers {
-                for (i, result) in worker.join().expect("search worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task index is dispatched exactly once"))
-            .collect()
-    }
-
-    /// Fold one worker's memoization-cache traffic into the observer
-    /// (once per worker at pool teardown — never in the hot loop). Takes
-    /// the delta accumulated during this pass, so pre-warmed pool caches
-    /// are not re-counted.
-    fn flush_cache_stats(&self, hits: u64, misses: u64) {
+            ))),
+            None => PassCache::Fresh(EstimateCache::new()),
+        };
+        let (hits0, misses0) = (cache.hits(), cache.misses());
+        let out = f(&mut cache);
         if let Some(obs) = &self.observer {
+            let (hits, misses) = (cache.hits() - hits0, cache.misses() - misses0);
             obs.add("search.cache.hits", hits);
             obs.add("search.cache.misses", misses);
             obs.add("search.cache.lookups", hits + misses);
         }
+        out
     }
 
     /// The cheapest possible total time of any microbatch variant of `p`:
@@ -1084,8 +887,9 @@ impl<'a> SearchEngine<'a> {
         training: &TrainingConfig,
     ) -> Result<Scored> {
         let mem_model = self.memory_model(p);
+        let solved = self.solve(&mem_model, p, training);
         let mut variants = Vec::new();
-        let (_, solved) = self.plan_variants(&mem_model, p, training, &mut variants);
+        self.push_variants(p, training, &solved, &mut variants);
         let estimates = self.batch_evaluator().estimate_many(cache, &variants, training);
         self.score_mapping(&mem_model, &solved, &variants, &estimates, training)
     }
@@ -1100,10 +904,55 @@ impl<'a> SearchEngine<'a> {
             .with_activation_recompute(self.engine_options.activation_recompute)
     }
 
-    /// The microbatch variants worth pricing for `p`, with the closed-form
-    /// memory solve that justifies any truncation. The tuning ladder is
-    /// exactly the solver's (trial microbatch `2^k`), and feasibility is a
-    /// prefix of the ladder, so:
+    /// The closed-form max-microbatch solve of `p` on the tuning ladder
+    /// (`None` without tuning: the single variant carries its own policy,
+    /// which need not be a ladder point, so it is sized directly).
+    fn solve(
+        &self,
+        mem_model: &MemoryModel<'_>,
+        p: &Parallelism,
+        training: &TrainingConfig,
+    ) -> Option<SolveOutcome> {
+        self.tune_microbatches.then(|| {
+            mem_model.solve_max_microbatch(
+                (training.global_batch() / p.dp()).max(1),
+                p.replica_batch(training.global_batch()),
+                self.accel.memory_bytes(),
+            )
+        })
+    }
+
+    /// The capacity inequality that makes the memory filter reject `p`,
+    /// decided before any pricing: with tuning, the solve's failure at
+    /// the smallest microbatch; without, the footprint of `p`'s own
+    /// microbatch split. `None` when the filter is off or `p` fits.
+    fn memory_rejection(
+        &self,
+        mem_model: &MemoryModel<'_>,
+        solved: &Option<SolveOutcome>,
+        p: &Parallelism,
+        training: &TrainingConfig,
+    ) -> Option<CapacityFailure> {
+        if !self.require_memory_fit {
+            return None;
+        }
+        match solved {
+            Some(Ok(_)) => None,
+            Some(Err(failure)) => Some(*failure),
+            None => {
+                let batch = training.global_batch();
+                let memory =
+                    mem_model.footprint(p.microbatch_size(batch), p.num_microbatches(batch));
+                let capacity = self.accel.memory_bytes();
+                let fits = memory.total() <= capacity;
+                (!fits).then(|| memory.capacity_failure(capacity))
+            }
+        }
+    }
+
+    /// Append the microbatch variants of `p` worth pricing to `out`. The
+    /// tuning ladder is exactly the solver's (trial microbatch `2^k`), and
+    /// feasibility is a prefix of the ladder, so:
     ///
     /// * when some rung fits, rungs past `ladder_index` can never win the
     ///   `(fits, time)` fold — a fitting variant always beats a non-fitting
@@ -1113,44 +962,29 @@ impl<'a> SearchEngine<'a> {
     ///   so engine-level validation errors propagate (estimate errors
     ///   depend only on the mapping and engine configuration, never on the
     ///   microbatch count).
-    ///
-    /// Without tuning the single variant carries its own policy, which
-    /// need not be a ladder point — no solve, direct footprints instead.
-    ///
-    /// Variants are appended to `out` (the caller's shared batch buffer —
-    /// one allocation per chunk instead of one per mapping); the returned
-    /// count is the appended span's length.
-    fn plan_variants(
+    fn push_variants(
         &self,
-        mem_model: &MemoryModel<'_>,
         p: &Parallelism,
         training: &TrainingConfig,
+        solved: &Option<SolveOutcome>,
         out: &mut Vec<Parallelism>,
-    ) -> (usize, Option<SolveOutcome>) {
-        if !self.tune_microbatches {
-            out.push(*p);
-            return (1, None);
-        }
-        let replica = (training.global_batch() / p.dp()).max(1);
-        let solved = mem_model.solve_max_microbatch(
-            replica,
-            p.replica_batch(training.global_batch()),
-            self.accel.memory_bytes(),
-        );
-        let rungs = match &solved {
-            Ok(fit) => fit.ladder_index as usize + 1,
-            Err(_) if self.require_memory_fit => 1,
-            Err(_) => usize::MAX,
+    ) {
+        let rungs = match solved {
+            None => {
+                out.push(*p);
+                return;
+            }
+            Some(Ok(fit)) => fit.ladder_index as usize + 1,
+            Some(Err(_)) if self.require_memory_fit => 1,
+            Some(Err(_)) => usize::MAX,
         };
-        let start = out.len();
         out.extend(ladder(p, training).take(rungs));
-        (out.len() - start, Some(solved))
     }
 
     /// Fold one mapping's already-priced microbatch variants into its
     /// winning candidate on `(fits, −time)`. Memory feasibility comes from
     /// the closed-form max-microbatch solve done by
-    /// [`SearchEngine::plan_variants`] — one solve per mapping instead of
+    /// [`SearchEngine::solve`] — one solve per mapping instead of
     /// one footprint per variant (variant `k` of the tuning ladder fits iff
     /// `k <= MicrobatchFit::ladder_index`, since feasibility is a prefix of
     /// the ladder; the winner's stored footprint is computed once at the
@@ -1292,12 +1126,10 @@ impl<'a> SearchEngine<'a> {
     /// may harm convergence — the caller owns that judgement (the paper
     /// assumes "minimal impact" up to 16384).
     ///
-    /// The batch × mapping grid is explored by one worker pool — one chunk
-    /// run per batch — with a single incumbent best time shared across
-    /// batches, so a strong early batch cheapens every later one through
-    /// pruning. Ties go to the earlier batch, then the parallelism degrees
-    /// (a total order — the winner is deterministic for every worker
-    /// count).
+    /// The whole batch × mapping grid is one pruned executor pass, so one
+    /// incumbent best time bounds every batch. Ties go to the earlier
+    /// batch, then the parallelism degrees (a total order — the winner is
+    /// deterministic).
     ///
     /// # Errors
     ///
@@ -1318,55 +1150,82 @@ impl<'a> SearchEngine<'a> {
         if trainings.is_empty() || mappings.is_empty() {
             return Ok(None);
         }
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = engine.explore_all(&mappings, &trainings, &best_bits);
-        let mut best: Option<(usize, Candidate)> = None; // (batch index, candidate)
-        let mut counts = [0u64; 3]; // pruned, memory-rejected, kept
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let candidate = match outcome? {
-                Outcome::Pruned => {
-                    counts[0] += 1;
-                    continue;
-                }
-                Outcome::Filtered(_) => {
-                    counts[1] += 1;
-                    continue;
-                }
-                Outcome::Kept { candidate, .. } => {
-                    counts[2] += 1;
-                    candidate
-                }
-            };
-            let batch_idx = i / mappings.len();
-            let better = match &best {
-                None => true,
-                Some((best_idx, b)) => {
-                    candidate
-                        .objective_time()
-                        .total_cmp(&b.objective_time())
-                        .then(batch_idx.cmp(best_idx))
-                        .then_with(|| {
-                            parallelism_key(&candidate.parallelism)
-                                .cmp(&parallelism_key(&b.parallelism))
-                        })
-                        .is_lt()
-                }
-            };
-            if better {
-                best = Some((batch_idx, *candidate));
-            }
+        let explored = engine.explore(&mappings, &trainings)?;
+        engine.account(trainings.len() * mappings.len(), &explored);
+        let batch_of = |index: usize| index / mappings.len();
+        let best = explored.kept.into_iter().min_by(|(i, a), (j, b)| {
+            a.objective_time()
+                .total_cmp(&b.objective_time())
+                .then(batch_of(*i).cmp(&batch_of(*j)))
+                .then_with(|| parallelism_key(&a.parallelism).cmp(&parallelism_key(&b.parallelism)))
+        });
+        Ok(best.map(|(i, c)| (batches[batch_of(i)], c)))
+    }
+}
+
+/// The training search as an executor [`Space`]: every mapping under
+/// every training, training-major.
+struct TrainingSpace<'s, 'a> {
+    engine: &'s SearchEngine<'a>,
+    /// One prepared kernel pass per training.
+    kernels: Vec<Prepared<'s>>,
+    trainings: &'s [TrainingConfig],
+    mappings: &'s [Parallelism],
+    cache: &'s mut EstimateCache,
+    /// Each screened candidate's memory model and solve, taken by its
+    /// evaluation.
+    plans: Vec<Option<(MemoryModel<'s>, Option<SolveOutcome>)>>,
+    /// The variant buffer, reused by every evaluation.
+    variants: Vec<Parallelism>,
+}
+
+impl<'s> TrainingSpace<'s, '_> {
+    /// The training index and mapping of candidate `index`.
+    fn locate(&self, index: usize) -> (usize, &'s Parallelism) {
+        let n = self.mappings.len();
+        (index / n, &self.mappings[index % n])
+    }
+}
+
+impl Space for TrainingSpace<'_, '_> {
+    type Candidate = Candidate;
+    type Rejection = CapacityFailure;
+
+    fn screen(&mut self, index: usize) -> Result<Screened<CapacityFailure>> {
+        let (t, p) = self.locate(index);
+        let (engine, training) = (self.engine, &self.trainings[t]);
+        let mem_model = engine.memory_model(p);
+        let solved = engine.solve(&mem_model, p, training);
+        if let Some(failure) = engine.memory_rejection(&mem_model, &solved, p, training) {
+            return Ok(Screened::Rejected(failure));
         }
-        if let Some(obs) = &engine.observer {
-            obs.add(
-                "search.candidates.generated",
-                (trainings.len() * mappings.len()) as u64,
-            );
-            obs.add("search.candidates.pruned", counts[0]);
-            obs.add("search.candidates.memory_rejected", counts[1]);
-            obs.add("search.candidates.kept", counts[2]);
-            obs.add("search.candidates.evaluated", counts[1] + counts[2]);
-        }
-        Ok(best.map(|(batch_idx, c)| (batches[batch_idx], c)))
+        let bound = if engine.prune {
+            let _span = engine.observer.as_ref().map(|o| o.span("prune"));
+            engine.candidate_lower_bound(&self.kernels[t], self.cache, p, training)?
+        } else {
+            f64::NEG_INFINITY
+        };
+        self.plans[index] = Some((mem_model, solved));
+        Ok(Screened::Bounded(bound))
+    }
+
+    fn evaluate(&mut self, index: usize) -> Result<Candidate> {
+        let _span = self.engine.observer.as_ref().map(|o| o.span("evaluate"));
+        let (t, p) = self.locate(index);
+        let (engine, training) = (self.engine, &self.trainings[t]);
+        let (mem_model, solved) = self.plans[index]
+            .take()
+            .expect("only screened candidates are evaluated");
+        self.variants.clear();
+        engine.push_variants(p, training, &solved, &mut self.variants);
+        let estimates = self.kernels[t].estimate_many(self.cache, &self.variants);
+        let scored =
+            engine.score_mapping(&mem_model, &solved, &self.variants, &estimates, training)?;
+        Ok(*scored.expect("screening rejects every mapping the memory filter drops"))
+    }
+
+    fn objective(candidate: &Candidate) -> f64 {
+        candidate.objective_time()
     }
 }
 
@@ -1591,8 +1450,8 @@ mod tests {
         }
     }
 
-    /// Rankings must be byte-identical across worker counts: same
-    /// candidates, same order, same times to the bit.
+    /// Rankings must be byte-identical: same candidates, same order, same
+    /// times to the bit.
     fn assert_identical_rankings(a: &[Candidate], b: &[Candidate]) {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -1610,25 +1469,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_is_bit_identical_to_serial() {
-        let m = model();
-        let a = accel();
-        let sys = system(4, 8);
-        let training = TrainingConfig::new(512, 10).unwrap();
-        let base = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
-        let serial = base.clone().with_parallelism(1).search(&training).unwrap();
-        for jobs in [2, 4, 7] {
-            let parallel = base
-                .clone()
-                .with_parallelism(jobs)
-                .search(&training)
-                .unwrap();
-            assert_identical_rankings(&serial, &parallel);
-        }
-    }
-
-    #[test]
     fn pruned_search_is_an_ordered_subset_of_the_full_ranking() {
         let m = model();
         let a = accel();
@@ -1637,31 +1477,18 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
         let full = base.clone().search(&training).unwrap();
-        let pruned_serial = base
-            .clone()
-            .with_pruning(true)
-            .with_parallelism(1)
-            .search(&training)
-            .unwrap();
-        let pruned_parallel = base
-            .clone()
-            .with_pruning(true)
-            .with_parallelism(4)
-            .search(&training)
-            .unwrap();
-        // Pruning is deterministic regardless of worker count...
-        assert_identical_rankings(&pruned_serial, &pruned_parallel);
-        // ...keeps the same winner as the full search...
-        assert!(!pruned_serial.is_empty());
+        let pruned = base.clone().with_pruning(true).search(&training).unwrap();
+        // Pruning keeps the same winner as the full search...
+        assert!(!pruned.is_empty());
         assert_eq!(
-            pruned_serial[0].estimate.total_time.get().to_bits(),
+            pruned[0].estimate.total_time.get().to_bits(),
             full[0].estimate.total_time.get().to_bits()
         );
-        assert!(pruned_serial.len() <= full.len());
+        assert!(pruned.len() <= full.len());
         // ...and every retained candidate is in the full ranking, in order.
         let keys: Vec<_> = full.iter().map(|c| parallelism_key(&c.parallelism)).collect();
         let mut cursor = 0;
-        for c in &pruned_serial {
+        for c in &pruned {
             let k = parallelism_key(&c.parallelism);
             let pos = keys[cursor..]
                 .iter()
@@ -1673,7 +1500,7 @@ mod tests {
 
     #[test]
     fn memoized_search_matches_fresh_cache_estimates() {
-        // Every ranked estimate comes out of warm per-worker caches; pricing
+        // Every ranked estimate comes out of a warm pass cache; pricing
         // the same variant against a fresh cache gives the same bits.
         let m = model();
         let a = accel();
@@ -1698,29 +1525,32 @@ mod tests {
     }
 
     #[test]
-    fn best_over_batches_parallel_matches_serial() {
+    fn best_over_batches_matches_the_best_of_each_batch() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
-        let base = SearchEngine::new(&m, &a, &sys)
+        let engine = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 16.0, 0.05, 0.9));
-        let (b1, c1) = base
-            .clone()
-            .with_parallelism(1)
-            .best_over_batches(&[256, 1024, 4096], 2048, 1e9)
+        let batches = [256, 1024, 4096];
+        let (batch, winner) = engine
+            .best_over_batches(&batches, 2048, 1e9)
             .unwrap()
             .unwrap();
-        let (b4, c4) = base
-            .clone()
-            .with_parallelism(4)
-            .best_over_batches(&[256, 1024, 4096], 2048, 1e9)
-            .unwrap()
+        // The one pass over the whole grid finds what searching each batch
+        // separately and keeping the fastest finds.
+        let (want_batch, want) = batches
+            .iter()
+            .map(|&b| {
+                let training = TrainingConfig::from_tokens(b, 2048, 1e9).unwrap();
+                (b, engine.best(&training).unwrap().unwrap())
+            })
+            .min_by(|(_, x), (_, y)| x.objective_time().total_cmp(&y.objective_time()))
             .unwrap();
-        assert_eq!(b1, b4);
-        assert_eq!(parallelism_key(&c1.parallelism), parallelism_key(&c4.parallelism));
+        assert_eq!(batch, want_batch);
+        assert_eq!(parallelism_key(&winner.parallelism), parallelism_key(&want.parallelism));
         assert_eq!(
-            c1.estimate.total_time.get().to_bits(),
-            c4.estimate.total_time.get().to_bits()
+            winner.estimate.total_time.get().to_bits(),
+            want.estimate.total_time.get().to_bits()
         );
     }
 
@@ -1813,23 +1643,16 @@ mod tests {
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9))
             .with_goodput(GoodputOptions::new(1000.0 * 3600.0));
         let full = base.clone().search(&training).unwrap();
-        for jobs in [1, 4] {
-            let pruned = base
-                .clone()
-                .with_pruning(true)
-                .with_parallelism(jobs)
-                .search(&training)
-                .unwrap();
-            assert!(!pruned.is_empty());
-            assert_eq!(
-                pruned[0].objective_time().to_bits(),
-                full[0].objective_time().to_bits()
-            );
-            assert_eq!(
-                parallelism_key(&pruned[0].parallelism),
-                parallelism_key(&full[0].parallelism)
-            );
-        }
+        let pruned = base.clone().with_pruning(true).search(&training).unwrap();
+        assert!(!pruned.is_empty());
+        assert_eq!(
+            pruned[0].objective_time().to_bits(),
+            full[0].objective_time().to_bits()
+        );
+        assert_eq!(
+            parallelism_key(&pruned[0].parallelism),
+            parallelism_key(&full[0].parallelism)
+        );
     }
 
     #[test]
@@ -1874,41 +1697,40 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9))
             .with_pruning(true);
-        let bare = base.clone().with_parallelism(1).search(&training).unwrap();
-        for jobs in [1, 2, 4] {
-            let obs = Arc::new(Observer::new());
-            let observed = base
-                .clone()
-                .with_parallelism(jobs)
-                .with_observer(obs.clone())
-                .search(&training)
-                .unwrap();
-            // Instrumentation must never perturb the ranking.
-            assert_identical_rankings(&bare, &observed);
-            // Reconciliation identities hold exactly at any worker count,
-            // even though the pruned/evaluated split is timing-dependent.
-            let c = obs.counters();
-            assert_eq!(
-                c["search.candidates.generated"],
-                c["search.candidates.pruned"] + c["search.candidates.evaluated"],
-                "generated must equal pruned + evaluated: {c:?}"
-            );
-            assert_eq!(
-                c["search.candidates.evaluated"],
-                c["search.candidates.kept"] + c["search.candidates.memory_rejected"],
-                "evaluated must equal kept + memory-rejected: {c:?}"
-            );
-            assert_eq!(
-                c["search.cache.lookups"],
-                c["search.cache.hits"] + c["search.cache.misses"]
-            );
-            assert!(c["search.cache.hits"] > 0, "memoization must pay off");
-            assert!(c["search.candidates.generated"] > 0);
-            // The report carries the search phases in execution order.
-            let report = obs.report("search");
-            let phases: Vec<&str> = report.phases.iter().map(|(n, _)| n.as_str()).collect();
-            assert_eq!(phases, ["search.enumerate", "search.explore", "search.rank"]);
-        }
+        let (bare, bare_stats) = base.search_with_stats(&training).unwrap();
+        let obs = Arc::new(Observer::new());
+        let (observed, stats) = base
+            .clone()
+            .with_observer(obs.clone())
+            .search_with_stats(&training)
+            .unwrap();
+        // Instrumentation must never perturb the ranking or the stats.
+        assert_identical_rankings(&bare, &observed);
+        assert_eq!(bare_stats, stats);
+        // The counters are the stats, and reconcile exactly.
+        let c = obs.counters();
+        assert_eq!(c["search.candidates.pruned"], stats.pruned);
+        assert_eq!(c["search.candidates.kept"], stats.kept);
+        assert_eq!(
+            c["search.candidates.generated"],
+            c["search.candidates.pruned"] + c["search.candidates.evaluated"],
+            "generated must equal pruned + evaluated: {c:?}"
+        );
+        assert_eq!(
+            c["search.candidates.evaluated"],
+            c["search.candidates.kept"] + c["search.candidates.memory_rejected"],
+            "evaluated must equal kept + memory-rejected: {c:?}"
+        );
+        assert_eq!(
+            c["search.cache.lookups"],
+            c["search.cache.hits"] + c["search.cache.misses"]
+        );
+        assert!(c["search.cache.hits"] > 0, "memoization must pay off");
+        assert!(c["search.candidates.generated"] > 0);
+        // The report carries the search phases in execution order.
+        let report = obs.report("search");
+        let phases: Vec<&str> = report.phases.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(phases, ["search.enumerate", "search.explore", "search.rank"]);
     }
 
     #[test]
@@ -1920,11 +1742,10 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_refine_sim(4);
-        let bare = base.clone().with_parallelism(1).search(&training).unwrap();
+        let bare = base.clone().search(&training).unwrap();
         let obs = Arc::new(Observer::new());
         let observed = base
             .clone()
-            .with_parallelism(4)
             .with_observer(obs.clone())
             .search(&training)
             .unwrap();
@@ -1948,8 +1769,8 @@ mod tests {
         // The refinement backend reports through the same observer.
         assert_eq!(c["backend.sim.evaluations"], c["search.refine.attempted"]);
         assert!(c["sim.des.runs"] >= c["search.refine.accepted"]);
-        // Parallel refinement must not record nondeterministic per-device
-        // samples.
+        // Refinement must not record per-device samples that would only
+        // describe the last refined candidate.
         assert!(obs.report("search").devices.is_empty());
         let phases: Vec<String> = obs
             .report("search")
@@ -1958,30 +1779,6 @@ mod tests {
             .map(|(n, _)| n.clone())
             .collect();
         assert!(phases.contains(&"search.refine".to_string()));
-    }
-
-    #[test]
-    fn refined_search_is_bit_identical_across_worker_counts() {
-        let m = small_model();
-        let a = accel();
-        let sys = system(2, 4);
-        let training = TrainingConfig::new(64, 1).unwrap();
-        let base = SearchEngine::new(&m, &a, &sys)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_refine_sim(4);
-        let serial = base.clone().with_parallelism(1).search(&training).unwrap();
-        let parallel = base.clone().with_parallelism(4).search(&training).unwrap();
-        assert_identical_rankings(&serial, &parallel);
-        for (x, y) in serial.iter().zip(&parallel) {
-            match (&x.refined, &y.refined) {
-                (Some(rx), Some(ry)) => assert_eq!(
-                    rx.total_time.get().to_bits(),
-                    ry.total_time.get().to_bits()
-                ),
-                (None, None) => {}
-                _ => panic!("refinement outcome differs across worker counts"),
-            }
-        }
     }
 
     /// The reference the batched explorer is checked against: every
@@ -2118,7 +1915,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_search_is_bit_identical_to_brute_force_at_any_worker_count() {
+    fn batched_search_is_bit_identical_to_brute_force() {
         let m = model();
         let a = accel();
         let sys = system(4, 8);
@@ -2126,14 +1923,7 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::saturating(0.9, 4.0, 0.1, 0.9));
         let (reference, _) = brute_force(&base, &training);
-        for jobs in [1, 4] {
-            let batched = base
-                .clone()
-                .with_parallelism(jobs)
-                .search(&training)
-                .unwrap();
-            assert_identical_candidates(&reference, &batched);
-        }
+        assert_identical_candidates(&reference, &base.search(&training).unwrap());
     }
 
     #[test]
@@ -2147,14 +1937,7 @@ mod tests {
             .with_memory_filter(true)
             .with_goodput(GoodputOptions::new(1e6));
         let (reference, _) = brute_force(&base, &training);
-        for jobs in [1, 4] {
-            let batched = base
-                .clone()
-                .with_parallelism(jobs)
-                .search(&training)
-                .unwrap();
-            assert_identical_candidates(&reference, &batched);
-        }
+        assert_identical_candidates(&reference, &base.search(&training).unwrap());
         assert!(reference.iter().all(|c| c.resilience.is_some()));
     }
 
@@ -2168,14 +1951,7 @@ mod tests {
             .with_efficiency(EfficiencyModel::Constant(0.5))
             .with_pruning(true);
         let reference = brute_force_pruned(&base, &training);
-        for jobs in [1, 4] {
-            let batched = base
-                .clone()
-                .with_parallelism(jobs)
-                .search(&training)
-                .unwrap();
-            assert_identical_candidates(&reference, &batched);
-        }
+        assert_identical_candidates(&reference, &base.search(&training).unwrap());
     }
 
     #[test]
@@ -2187,7 +1963,7 @@ mod tests {
         let base = SearchEngine::new(&m, &a, &sys).with_efficiency(EfficiencyModel::Constant(0.5));
         let (reference, _) = brute_force(&base, &training);
         let pool = Arc::new(CachePool::new());
-        let pooled = base.with_cache_pool(pool.clone()).with_parallelism(4);
+        let pooled = base.with_cache_pool(pool.clone());
         // Cold pool, then warm pool: both bit-identical to the reference —
         // warming a cache never changes a kernel result.
         let cold = pooled.search(&training).unwrap();
@@ -2219,6 +1995,11 @@ mod tests {
         // every rung does.
         let (_, reference_stats) = brute_force(&base, &training);
         assert_eq!(stats, reference_stats);
+        // The filter runs before any pruning, so pruning changes only the
+        // pruned/kept split, never the rejections.
+        let (_, pruned) = base.clone().with_pruning(true).search_with_stats(&training).unwrap();
+        assert_eq!(pruned.memory_rejected, stats.memory_rejected);
+        assert_eq!(pruned.generated, pruned.pruned + pruned.kept + pruned.memory_rejected.total());
         // Without the filter nothing is memory-rejected.
         let (_, open) = SearchEngine::new(&m, &a, &sys)
             .with_efficiency(EfficiencyModel::Constant(0.5))

@@ -7,7 +7,7 @@
 //! across the same rack loses them all (always fatal). The enumerator
 //! below scores the two canonical layouts and picks the one with the
 //! smallest blast radius — deterministically, so rankings that depend on
-//! it stay bit-identical at any worker count.
+//! it stay bit-identical run to run.
 
 use amped_core::{DomainPlacement, FailureDomainTree, Parallelism, SystemSpec};
 use serde::{Deserialize, Serialize};

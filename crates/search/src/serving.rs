@@ -11,26 +11,26 @@
 //! ranks by latency, and [`serving_pareto_front`] extracts the
 //! non-dominated frontier over `(ttft, tpot, tokens/s, memory)`.
 //!
-//! Determinism follows the training search's discipline, tightened one
-//! notch: the branch-and-bound lower bound
+//! The search runs on the same branch-and-bound executor as the training
+//! search. The lower bound
 //! ([`latency_lower_bound`](amped_infer::latency_lower_bound)) is exact
 //! in f64 against the estimator's own floors and is computed for *every*
-//! candidate, and the kept set is always post-filtered to
-//! `lower_bound <= best_latency` — so rankings are bit-identical at any
-//! worker count **and** with pruning on or off (pruning only skips work
-//! the filter would discard anyway).
+//! feasible point, and the kept set is always post-filtered to
+//! `lower_bound <= best_latency` — so rankings and stats are
+//! bit-identical with pruning on or off (pruning only skips work the
+//! filter would discard anyway).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use amped_core::{
     AcceleratorSpec, Parallelism, Precision, Result, Scenario, SystemSpec, TransformerModel,
 };
-use amped_infer::{latency_lower_bound, AnalyticalInferBackend, InferBackend, InferEstimate};
-use amped_memory::KvCapacityFailure;
+use amped_infer::{latency_lower_bound_with, InferEstimate, InferEstimator, InferenceConfig};
+use amped_memory::{KvCacheModel, KvCapacityFailure};
 use amped_obs::Observer;
 use serde::{Deserialize, Serialize};
 
+use crate::executor::{self, Screened, Space};
 use crate::{factor_triples, parallelism_key};
 
 /// Constraints on the serving sweep.
@@ -81,7 +81,7 @@ impl ServingCandidate {
 
 /// Ranking order: fastest request first, ties broken by the parallelism
 /// degrees and then the batch — a total order (no two sweep points share
-/// all seven values), so rankings are identical at any worker count.
+/// all seven values), so rankings do not depend on evaluation order.
 fn serving_order(a: &ServingCandidate, b: &ServingCandidate) -> std::cmp::Ordering {
     a.objective_time()
         .total_cmp(&b.objective_time())
@@ -117,8 +117,7 @@ impl ServingRejections {
 /// deterministic: the memory filter runs before the runtime prune (a
 /// point's feasibility never depends on the incumbent) and the
 /// `lower_bound <= best` post-filter normalizes the kept set, so the
-/// whole struct is bit-identical at any worker count with pruning on or
-/// off.
+/// whole struct is bit-identical with pruning on or off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServingSearchStats {
     /// `(mapping, batch)` points enumerated.
@@ -132,16 +131,6 @@ pub struct ServingSearchStats {
     pub memory_rejected: ServingRejections,
 }
 
-/// What happened to one sweep point.
-enum Outcome {
-    Pruned,
-    Filtered(KvCapacityFailure),
-    Kept {
-        lower_bound: f64,
-        candidate: Box<ServingCandidate>,
-    },
-}
-
 /// Evaluates and ranks every way of serving a model on a system.
 #[derive(Debug, Clone)]
 pub struct ServingSearch<'a> {
@@ -151,7 +140,6 @@ pub struct ServingSearch<'a> {
     precision: Precision,
     sweep: ServingSweepOptions,
     require_memory_fit: bool,
-    jobs: usize,
     prune: bool,
     observer: Option<Arc<Observer>>,
 }
@@ -170,7 +158,6 @@ impl<'a> ServingSearch<'a> {
             precision: Precision::default(),
             sweep: ServingSweepOptions::default(),
             require_memory_fit: true,
-            jobs: 0,
             prune: false,
             observer: None,
         }
@@ -195,15 +182,9 @@ impl<'a> ServingSearch<'a> {
         self
     }
 
-    /// Worker threads (0 = one per CPU). Rankings are identical for
-    /// every worker count.
-    pub fn with_parallelism(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Enable branch-and-bound pruning: points whose latency lower bound
-    /// exceeds the incumbent best skip full evaluation. Because every
+    /// Enable branch-and-bound pruning: points are evaluated in order of
+    /// their latency lower bound, and the search stops at the first bound
+    /// above the incumbent best. Because every
     /// point's bound is computed anyway and the kept set is always
     /// post-filtered to `lower_bound <= best`, pruning changes *runtime
     /// only* — the ranking is bit-identical with it on or off.
@@ -221,16 +202,10 @@ impl<'a> ServingSearch<'a> {
         self
     }
 
-    /// Every `(mapping, batch)` point of the sweep, in enumeration order.
-    pub fn sweep_points(&self) -> Vec<(Parallelism, usize)> {
+    /// Every valid mapping of the sweep, in enumeration order.
+    fn mappings(&self) -> Vec<Parallelism> {
         let max_tp = self.sweep.max_tp.unwrap_or(self.model.num_heads());
         let max_pp = self.sweep.max_pp.unwrap_or(self.model.num_layers());
-        let mut batches = Vec::new();
-        let mut b = 1usize;
-        while b <= self.sweep.max_batch.max(1) {
-            batches.push(b);
-            b *= 2;
-        }
         let mut out = Vec::new();
         for (tp_i, pp_i, dp_i) in factor_triples(self.system.accels_per_node()) {
             for (tp_x, pp_x, dp_x) in factor_triples(self.system.num_nodes()) {
@@ -246,15 +221,19 @@ impl<'a> ServingSearch<'a> {
                     .dp(dp_i, dp_x)
                     .build();
                 let Ok(p) = built else { continue };
-                if p.validate_against(self.system, self.model).is_err() {
-                    continue;
-                }
-                for &batch in &batches {
-                    out.push((p, batch));
+                if p.validate_against(self.system, self.model).is_ok() {
+                    out.push(p);
                 }
             }
         }
         out
+    }
+
+    /// The power-of-two batch ladder swept per mapping.
+    fn batches(&self) -> Vec<usize> {
+        std::iter::successors(Some(1usize), |b| b.checked_mul(2))
+            .take_while(|&b| b <= self.sweep.max_batch.max(1))
+            .collect()
     }
 
     /// Rank every sweep point for `request`, fastest request first.
@@ -280,48 +259,57 @@ impl<'a> ServingSearch<'a> {
         &self,
         request: &amped_infer::InferenceConfig,
     ) -> Result<(Vec<ServingCandidate>, ServingSearchStats)> {
-        let points = {
+        let (mappings, batches) = {
             let _phase = self
                 .observer
                 .as_ref()
                 .map(|o| o.phase("infer.search.enumerate"));
-            self.sweep_points()
+            (self.mappings(), self.batches())
         };
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let outcomes = {
+        let generated = mappings.len() * batches.len();
+        let explored = {
             let _phase = self
                 .observer
                 .as_ref()
                 .map(|o| o.phase("infer.search.explore"));
-            self.explore_all(&points, request, &best_bits)
+            let configs = batches
+                .iter()
+                .map(|&b| request.with_batch(b))
+                .collect::<Result<Vec<_>>>()?;
+            let kv_models = mappings
+                .iter()
+                .map(|p| {
+                    KvCacheModel::new(self.model, p)
+                        .with_precision(self.precision)
+                        .with_kv_bits(request.kv_bits())
+                })
+                .collect();
+            let mut space = ServingSpace {
+                search: self,
+                mappings: &mappings,
+                configs,
+                kv_models,
+                scenario: Scenario::new(
+                    self.model.clone(),
+                    self.accel.clone(),
+                    self.system.clone(),
+                    Parallelism::default(),
+                )
+                .with_precision(self.precision),
+            };
+            executor::explore(&mut space, generated, self.prune)?
         };
         let _rank = self.observer.as_ref().map(|o| o.phase("infer.search.rank"));
         let mut stats = ServingSearchStats {
-            generated: points.len() as u64,
+            generated: generated as u64,
+            kept: explored.kept.len() as u64,
             ..ServingSearchStats::default()
         };
-        let mut kept: Vec<(f64, ServingCandidate)> = Vec::new();
-        for outcome in outcomes {
-            match outcome? {
-                Outcome::Pruned => stats.pruned += 1,
-                Outcome::Filtered(failure) => stats.memory_rejected.record(failure),
-                Outcome::Kept {
-                    lower_bound,
-                    candidate,
-                } => kept.push((lower_bound, *candidate)),
-            }
+        for &failure in &explored.rejected {
+            stats.memory_rejected.record(failure);
         }
-        // The deterministic post-filter: retain exactly the points whose
-        // bound does not exceed the best latency. Runtime pruning can only
-        // have skipped points this filter discards (the incumbent never
-        // drops below the final best), so the retained set — and therefore
-        // the ranking — is identical with pruning on or off.
-        let best_time = kept
-            .iter()
-            .map(|(_, c)| c.objective_time())
-            .fold(f64::INFINITY, f64::min);
-        kept.retain(|(lb, _)| *lb <= best_time);
-        stats.kept = kept.len() as u64;
+        // Runtime-skipped points plus the points the post-filter dropped:
+        // the same count with pruning on or off.
         stats.pruned = stats.generated - stats.kept - stats.memory_rejected.total();
         if let Some(obs) = &self.observer {
             obs.add("infer.search.candidates.generated", stats.generated);
@@ -332,113 +320,78 @@ impl<'a> ServingSearch<'a> {
             );
             obs.add("infer.search.candidates.kept", stats.kept);
         }
-        let mut out: Vec<ServingCandidate> = kept.into_iter().map(|(_, c)| c).collect();
+        let mut out: Vec<ServingCandidate> = explored.kept.into_iter().map(|(_, c)| c).collect();
         out.sort_by(serving_order);
         Ok((out, stats))
     }
+}
 
-    /// Explore every point over a scoped worker pool, results in point
-    /// order.
-    fn explore_all(
-        &self,
-        points: &[(Parallelism, usize)],
-        request: &amped_infer::InferenceConfig,
-        best_bits: &AtomicU64,
-    ) -> Vec<Result<Outcome>> {
-        let jobs = if self.jobs == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.jobs
-        }
-        .min(points.len().max(1));
-        if jobs <= 1 {
-            return points
-                .iter()
-                .map(|(p, b)| self.explore(p, *b, request, best_bits))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<Outcome>>> = (0..points.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= points.len() {
-                                break;
-                            }
-                            let (p, b) = &points[i];
-                            done.push((i, self.explore(p, *b, request, best_bits)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for worker in workers {
-                for (i, result) in worker.join().expect("serving search worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every sweep point is dispatched exactly once"))
-            .collect()
+/// The serving search as an executor [`Space`]: every `(mapping, batch)`
+/// point, mapping-major. The scenario and each mapping's KV model are
+/// built once, not per point.
+struct ServingSpace<'s, 'a> {
+    search: &'s ServingSearch<'a>,
+    mappings: &'s [Parallelism],
+    /// The request at each batch of the ladder.
+    configs: Vec<InferenceConfig>,
+    /// One KV model per mapping, at the request's cache width.
+    kv_models: Vec<KvCacheModel<'s>>,
+    /// The search's scenario, re-pointed at each point's mapping.
+    scenario: Scenario,
+}
+
+impl ServingSpace<'_, '_> {
+    /// Point `index`'s mapping and batch indices, with the scenario set
+    /// to its mapping.
+    fn locate(&mut self, index: usize) -> (usize, usize) {
+        let n = self.configs.len();
+        let (m, b) = (index / n, index % n);
+        self.scenario.parallelism = self.mappings[m];
+        (m, b)
     }
+}
 
-    /// Bound, optionally prune, evaluate and score one sweep point.
-    fn explore(
-        &self,
-        p: &Parallelism,
-        batch: usize,
-        request: &amped_infer::InferenceConfig,
-        best_bits: &AtomicU64,
-    ) -> Result<Outcome> {
-        let config = request.with_batch(batch)?;
-        let scenario = Scenario::new(
-            self.model.clone(),
-            self.accel.clone(),
-            self.system.clone(),
-            *p,
-        )
-        .with_precision(self.precision);
+impl Space for ServingSpace<'_, '_> {
+    type Candidate = ServingCandidate;
+    type Rejection = KvCapacityFailure;
+
+    fn screen(&mut self, index: usize) -> Result<Screened<KvCapacityFailure>> {
+        let (m, b) = self.locate(index);
+        let (config, kv) = (&self.configs[b], &self.kv_models[m]);
         // Memory feasibility is a per-point fact, independent of the
-        // incumbent, so it is decided *before* the runtime prune: the
-        // `memory_rejected` accounting in the artifact must be identical
-        // with pruning on or off and at any worker count. The footprint is
-        // closed-form, so this costs no roofline evaluation.
-        if self.require_memory_fit {
-            let est = amped_infer::InferEstimator::new(&scenario);
-            let footprint = est
-                .kv_model(&config)
-                .footprint(config.batch(), config.max_context());
-            let capacity = self.accel.memory_bytes();
+        // incumbent. The footprint is closed-form, so this costs no
+        // roofline evaluation.
+        if self.search.require_memory_fit {
+            let footprint = kv.footprint(config.batch(), config.max_context());
+            let capacity = self.search.accel.memory_bytes();
             if footprint.total() > capacity {
-                return Ok(Outcome::Filtered(footprint.capacity_failure(capacity)));
+                return Ok(Screened::Rejected(footprint.capacity_failure(capacity)));
             }
         }
         // The bound feeds the deterministic post-filter, so it is computed
         // for every point whether or not runtime pruning is on.
-        let lower_bound = latency_lower_bound(&scenario, &config)?;
-        if self.prune && lower_bound > f64::from_bits(best_bits.load(Ordering::Relaxed)) {
-            return Ok(Outcome::Pruned);
-        }
-        let estimate = AnalyticalInferBackend.evaluate(&scenario, &config)?;
-        best_bits.fetch_min(estimate.request_latency.get().to_bits(), Ordering::Relaxed);
-        let fits_memory = estimate.fits_memory;
-        Ok(Outcome::Kept {
-            lower_bound,
-            candidate: Box::new(ServingCandidate {
-                parallelism: *p,
-                batch,
-                estimate,
-                fits_memory,
-            }),
+        Ok(Screened::Bounded(latency_lower_bound_with(
+            &self.scenario,
+            config,
+            kv,
+        )?))
+    }
+
+    fn evaluate(&mut self, index: usize) -> Result<ServingCandidate> {
+        let (m, b) = self.locate(index);
+        let config = &self.configs[b];
+        let estimate =
+            InferEstimator::new(&self.scenario).estimate_with(config, &self.kv_models[m])?;
+        Ok(ServingCandidate {
+            parallelism: self.mappings[m],
+            batch: config.batch(),
+            fits_memory: estimate.fits_memory,
+            estimate,
         })
+    }
+
+    fn objective(candidate: &ServingCandidate) -> f64 {
+        candidate.objective_time()
     }
 }
 

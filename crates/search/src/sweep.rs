@@ -90,11 +90,11 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Evaluate every `(mapping, batch)` pair over the engine's worker pool
-    /// (see [`SearchEngine::with_parallelism`]). Each mapping is evaluated
-    /// through [`SearchEngine::evaluate_one`] semantics (microbatch tuning
-    /// included); results are ordered label-major, batch-minor regardless
-    /// of worker count. Cells carry [`AnalyticalBackend`] provenance.
+    /// Evaluate every `(mapping, batch)` pair against one memoization
+    /// cache. Each mapping is evaluated through [`SearchEngine::evaluate_one`]
+    /// semantics (microbatch tuning included); results are ordered
+    /// label-major, batch-minor. Cells carry [`AnalyticalBackend`]
+    /// provenance.
     ///
     /// # Errors
     ///
@@ -118,8 +118,8 @@ impl Sweep {
     }
 
     /// Evaluate every `(mapping, batch)` pair through an arbitrary
-    /// [`CostBackend`] over the engine's worker pool, recording the
-    /// backend's name as each cell's provenance.
+    /// [`CostBackend`], recording the backend's name as each cell's
+    /// provenance.
     ///
     /// Unlike [`Sweep::run`], mappings are priced exactly as given — the
     /// backend sees each mapping's own microbatch policy, with no
@@ -146,19 +146,17 @@ impl Sweep {
             return Ok(Sweep::assemble(mappings, batches, Vec::new(), backend.name()));
         }
         // One batched backend call per training column (each column shares
-        // a scenario and differs only in the candidate mapping), fanned out
-        // over the worker pool. Backends with a real batch path hoist the
-        // per-column invariants once; the default implementation loops
-        // `evaluate`, so cells stay bit-identical either way.
+        // a scenario and differs only in the candidate mapping). Backends
+        // with a real batch path hoist the per-column invariants once; the
+        // default implementation loops `evaluate`, so cells stay
+        // bit-identical either way.
         let plist: Vec<Parallelism> = mappings.iter().map(|(_, p)| *p).collect();
         let scenario = engine.scenario_for(plist[0]);
-        let columns = engine.run_parallel(cols, |_cache, col| {
-            Ok(backend.evaluate_many(&scenario, &plist, &trainings[col]))
-        });
-        let mut columns: Vec<Vec<Option<Result<Estimate>>>> = columns
-            .into_iter()
-            .map(|c| {
-                c.expect("column dispatch is infallible")
+        let mut columns: Vec<Vec<Option<Result<Estimate>>>> = trainings
+            .iter()
+            .map(|training| {
+                backend
+                    .evaluate_many(&scenario, &plist, training)
                     .into_iter()
                     .map(Some)
                     .collect()
@@ -304,6 +302,16 @@ fn trainings_for(batches: &[usize], num_batches: u64) -> Result<Vec<TrainingConf
     Ok(trainings)
 }
 
+/// An explicitly requested mapping the memory filter rejected is an error.
+fn filtered_out(scored: crate::Scored) -> Result<Candidate> {
+    scored.map(|candidate| *candidate).map_err(|failure| {
+        amped_core::Error::incompatible(format!(
+            "mapping was filtered out (exceeds device memory under every microbatch size; \
+             first failing inequality: {failure})",
+        ))
+    })
+}
+
 /// Re-export point: evaluate a single explicit mapping through the engine
 /// (used by [`Sweep::run`] and callers that need one-off evaluations with
 /// the engine's configuration).
@@ -320,35 +328,26 @@ impl<'a> SearchEngine<'a> {
         training: &TrainingConfig,
     ) -> Result<Candidate> {
         let mut cache = amped_core::EstimateCache::new();
-        match self.evaluate_mapping(&mut cache, mapping, training)? {
-            Ok(candidate) => Ok(*candidate),
-            Err(failure) => Err(amped_core::Error::incompatible(format!(
-                "mapping was filtered out (exceeds device memory under every microbatch size; \
-                 first failing inequality: {failure})",
-            ))),
-        }
+        filtered_out(self.evaluate_mapping(&mut cache, mapping, training)?)
     }
 
-    /// Evaluate a mappings × trainings grid over the worker pool, returning
-    /// candidates mapping-major in deterministic order. Pruning does not
-    /// apply here — a sweep reports *every* cell.
+    /// Evaluate a mappings × trainings grid against one memoization cache,
+    /// returning candidates mapping-major. Pruning does not apply here — a
+    /// sweep reports *every* cell.
     pub(crate) fn evaluate_grid(
         &self,
         mappings: &[(String, Parallelism)],
         trainings: &[TrainingConfig],
     ) -> Result<Vec<Candidate>> {
-        let cols = trainings.len();
-        let results = self.run_parallel(mappings.len() * cols, |cache, i| {
-            let (row, col) = (i / cols.max(1), i % cols.max(1));
-            match self.evaluate_mapping(cache, &mappings[row].1, &trainings[col])? {
-                Ok(candidate) => Ok(*candidate),
-                Err(failure) => Err(amped_core::Error::incompatible(format!(
-                    "mapping was filtered out (exceeds device memory under every microbatch \
-                     size; first failing inequality: {failure})",
-                ))),
+        self.with_cache(|cache| {
+            let mut out = Vec::with_capacity(mappings.len() * trainings.len());
+            for (_, p) in mappings {
+                for training in trainings {
+                    out.push(filtered_out(self.evaluate_mapping(cache, p, training)?)?);
+                }
             }
-        });
-        results.into_iter().collect()
+            Ok(out)
+        })
     }
 }
 
@@ -438,50 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
-        let (model, accel, system) = fixture();
-        let mappings = vec![
-            (
-                "dp".to_string(),
-                Parallelism::builder().tp(4, 1).dp(1, 4).build().unwrap(),
-            ),
-            (
-                "pp".to_string(),
-                Parallelism::builder().tp(4, 1).pp(1, 4).build().unwrap(),
-            ),
-            (
-                "tp-inter".to_string(),
-                Parallelism::builder().tp(4, 4).build().unwrap(),
-            ),
-        ];
-        let batches = [32usize, 64, 128, 256];
-        let serial = Sweep::run(
-            &SearchEngine::new(&model, &accel, &system).with_parallelism(1),
-            &mappings,
-            &batches,
-            5,
-        )
-        .unwrap();
-        let parallel = Sweep::run(
-            &SearchEngine::new(&model, &accel, &system).with_parallelism(3),
-            &mappings,
-            &batches,
-            5,
-        )
-        .unwrap();
-        assert_eq!(serial.points().len(), parallel.points().len());
-        for (x, y) in serial.points().iter().zip(parallel.points()) {
-            assert_eq!(x.label, y.label);
-            assert_eq!(x.global_batch, y.global_batch);
-            assert_eq!(
-                x.estimate.total_time.get().to_bits(),
-                y.estimate.total_time.get().to_bits()
-            );
-        }
-        assert_eq!(serial.to_csv(), parallel.to_csv());
-    }
-
-    #[test]
     fn typed_rows_and_cells_expose_the_grid_without_label_parsing() {
         let (model, accel, system) = fixture();
         let engine = SearchEngine::new(&model, &accel, &system)
@@ -525,8 +480,7 @@ mod tests {
         use amped_core::CostBackend;
         let (model, accel, system) = fixture();
         let engine = SearchEngine::new(&model, &accel, &system)
-            .with_efficiency(EfficiencyModel::Constant(0.5))
-            .with_parallelism(2);
+            .with_efficiency(EfficiencyModel::Constant(0.5));
         let mappings = vec![
             (
                 "dp".to_string(),

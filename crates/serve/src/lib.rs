@@ -17,7 +17,7 @@
 //! | `/v1/metrics`       | GET    | —                 | the `amped-obs` run report |
 //! | `/v1/shutdown`      | POST   | —                 | graceful shutdown |
 //!
-//! Query parameters mirror the CLI flags (`?top=5&jobs=4&prune=true`,
+//! Query parameters mirror the CLI flags (`?top=5&prune=true`,
 //! `?backend=sim`, `?refine-sim=3`, ...).
 //!
 //! **Determinism contract:** a compute response body is byte-identical to

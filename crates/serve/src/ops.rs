@@ -7,7 +7,7 @@
 //! transports run it through the same three calls:
 //!
 //! 1. [`Params::read`] parses the execution parameters (`--top`,
-//!    `?jobs=`, `--goodput`, ...) through the [`FlagReader`] seam the
+//!    `?prune`, `--goodput`, ...) through the [`FlagReader`] seam the
 //!    scenario flags already use, with one error spelling;
 //! 2. [`Op::resolve`] stacks the op's base overlay, the preset, the
 //!    scenario file or request body and the flags into a [`Resolution`]
@@ -78,8 +78,6 @@ enum Backend {
 /// same names as query parameters (`?top=5`).
 #[derive(Debug, Clone, Copy)]
 pub struct Params {
-    /// `jobs`: worker threads (0 = one per CPU).
-    jobs: usize,
     /// `prune`: branch-and-bound pruning for search.
     prune: bool,
     /// `top`: rows a search renders.
@@ -148,7 +146,6 @@ impl Params {
             }
         };
         Ok(Params {
-            jobs: parsed(reader, "jobs")?.unwrap_or(0),
             prune: reader.switch("prune"),
             top: parsed(reader, "top")?.unwrap_or(10),
             memory_filter: reader.switch("memory-filter"),
@@ -387,7 +384,6 @@ impl Op {
                         max_batch: params.max_serve_batch,
                         ..ServingSweepOptions::default()
                     })
-                    .with_parallelism(params.jobs)
                     .with_pruning(params.prune);
                 if let Some(o) = &ctx.observer {
                     engine = engine.with_observer(Arc::clone(o));
@@ -407,7 +403,7 @@ impl Op {
                 )),
             },
             Op::Sweep => {
-                let engine = engine(s, params, ctx);
+                let engine = engine(s, ctx);
                 let mappings = sweep_mappings(s)?;
                 let base = s.training.global_batch();
                 let batches: Vec<usize> = [1usize, 2, 4].iter().map(|m| base * m).collect();
@@ -532,13 +528,12 @@ fn evaluate(
     Ok((backend.evaluate(&scenario, &s.training)?, backend.name()))
 }
 
-/// The scenario's search engine with the context and `jobs` attached.
-fn engine<'a>(s: &'a ResolvedScenario, params: &Params, ctx: &Context) -> SearchEngine<'a> {
+/// The scenario's search engine with the context attached.
+fn engine<'a>(s: &'a ResolvedScenario, ctx: &Context) -> SearchEngine<'a> {
     let mut engine = SearchEngine::new(&s.model, &s.accelerator, &s.system)
         .with_precision(s.precision)
         .with_efficiency(s.efficiency.clone())
-        .with_engine_options(s.options)
-        .with_parallelism(params.jobs);
+        .with_engine_options(s.options);
     if let Some(o) = &ctx.observer {
         engine = engine.with_observer(Arc::clone(o));
     }
@@ -555,7 +550,7 @@ fn ranking_engine<'a>(
     params: &Params,
     ctx: &Context,
 ) -> Result<SearchEngine<'a>> {
-    let engine = engine(s, params, ctx).with_refine_sim(params.refine_sim);
+    let engine = engine(s, ctx).with_refine_sim(params.refine_sim);
     Ok(match params.goodput_hours {
         Some(hours) => engine.with_goodput(goodput_options(s, params, hours)?),
         None => engine,
@@ -708,7 +703,7 @@ mod tests {
     fn every_parameter_error_has_one_spelling() {
         for (key, value) in [
             ("top", "lots"),
-            ("jobs", "-1"),
+            ("refine-sim", "-1"),
             ("goodput", "soon"),
             ("ckpt-interval", "x"),
             ("max-serve-batch", "big"),

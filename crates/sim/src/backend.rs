@@ -45,8 +45,7 @@ use crate::training::{PipelineSchedule, SimConfig};
 /// Deterministic: the simulator is event-ordered with stable tie-breaking,
 /// and fault schedules are pure functions of their seed, so repeated
 /// evaluations of one scenario are bit-identical — which is what lets the
-/// search's `--refine-sim` pass re-rank candidates reproducibly at any
-/// worker count.
+/// search's `--refine-sim` pass re-rank candidates reproducibly.
 #[derive(Debug, Clone, Default)]
 pub struct SimBackend {
     schedule: PipelineSchedule,

@@ -311,7 +311,7 @@ impl FaultPlan {
     /// Resolve the plan against a device grid: explicit stragglers land
     /// first, then `random_stragglers` distinct healthy devices are drawn
     /// from the seeded stream. A pure function of `(self, n_devices)` —
-    /// this is what makes fault runs reproducible at any `--jobs` count.
+    /// this is what makes fault runs reproducible run to run.
     pub fn materialize(&self, n_devices: usize) -> FaultSchedule {
         let mut compute_slowdown = vec![1.0f64; n_devices];
         if !self.is_active() {

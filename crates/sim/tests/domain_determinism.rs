@@ -5,8 +5,7 @@
 //!
 //! * same seed + same tree ⇒ bit-identical event schedule, no matter how
 //!   the stream is pulled (straight collect, one-at-a-time, or through
-//!   clones) — this is what makes `search --goodput` reproducible at any
-//!   `--jobs` count;
+//!   clones) — this is what makes `search --goodput` reproducible;
 //! * the merged stream is time-ordered and every event's blast radius
 //!   stays inside the tree;
 //! * a plan with no seed injects nothing at all.

@@ -45,23 +45,28 @@ echo "==> observability smoke (metrics + trace JSON must parse and reconcile)"
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
 ./target/release/amped search --model mingpt-85m --accel v100 \
-    --nodes 2 --per-node 4 --batch 64 --top 3 --jobs 2 \
+    --nodes 2 --per-node 4 --batch 64 --top 3 \
     --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json" > /dev/null
 cargo run -q --release --example validate_metrics -- \
     "$obs_dir/metrics.json" "$obs_dir/trace.json"
 
-echo "==> training-search smoke (--jobs 1 and --jobs 4 --json must be byte-identical)"
-# Chunking, the worker pool and the shared pruning incumbent must never
-# change what the training search renders.
-./target/release/amped search --model mingpt-85m --accel v100 \
-    --nodes 2 --per-node 4 --batch 64 --top 5 --jobs 1 --memory-filter \
-    --json > "$obs_dir/search_j1.json"
-./target/release/amped search --model mingpt-85m --accel v100 \
-    --nodes 2 --per-node 4 --batch 64 --top 5 --jobs 4 --memory-filter \
-    --json > "$obs_dir/search_j4.json"
-cmp "$obs_dir/search_j1.json" "$obs_dir/search_j4.json" \
-    || { echo "search smoke failed: output depends on --jobs"; exit 1; }
-echo "search smoke ok: outputs byte-identical"
+echo "==> training-search smoke (--prune --memory-filter: reproducible, same winner)"
+# The pruned search is a function of its input: two runs render the same
+# bytes, rejections included, and pruning keeps the unpruned winner.
+train_search="./target/release/amped search --model mingpt-85m --accel v100 \
+    --nodes 2 --per-node 4 --batch 64 --top 5 --memory-filter --json"
+$train_search --prune > "$obs_dir/search_pruned_1.json"
+$train_search --prune > "$obs_dir/search_pruned_2.json"
+$train_search > "$obs_dir/search_full.json"
+cmp "$obs_dir/search_pruned_1.json" "$obs_dir/search_pruned_2.json" \
+    || { echo "search smoke failed: pruned output differs run to run"; exit 1; }
+python3 - "$obs_dir/search_pruned_1.json" "$obs_dir/search_full.json" <<'EOF'
+import json, sys
+pruned, full = (json.load(open(p)) for p in sys.argv[1:])
+assert pruned["rows"] and pruned["rows"][0] == full["rows"][0], "pruning changed the winner"
+assert pruned["memory_rejected"] == full["memory_rejected"], "pruning changed the rejections"
+EOF
+echo "search smoke ok: pruned output reproducible, winner and rejections kept"
 
 echo "==> serve smoke (daemon on an ephemeral port, one request per endpoint)"
 # Start the daemon on port 0, parse the listening line for the real port,
@@ -97,9 +102,9 @@ client=./target/release/examples/serve_client
 scenario="$serve_dir/scenario.json"
 $client "$addr" GET  /v1/health                > "$serve_dir/health.json"
 $client "$addr" POST /v1/estimate  "$scenario" > "$serve_dir/estimate.json"
-$client "$addr" POST "/v1/search?top=3&jobs=2" "$scenario" > "$serve_dir/search.json"
+$client "$addr" POST "/v1/search?top=3" "$scenario" > "$serve_dir/search.json"
 $client "$addr" POST /v1/recommend "$scenario" > "$serve_dir/recommend.json"
-$client "$addr" POST "/v1/sweep?jobs=2" "$scenario" > "$serve_dir/sweep.csv"
+$client "$addr" POST /v1/sweep "$scenario" > "$serve_dir/sweep.csv"
 $client "$addr" POST /v1/resilience "$scenario" > "$serve_dir/resilience.json"
 $client "$addr" GET  /v1/metrics               > "$serve_dir/metrics.json"
 $client "$addr" GET  /v1/schema                > "$serve_dir/schema.json"
@@ -146,8 +151,7 @@ echo "chaos smoke ok: correlated artifact byte-identical across front-ends"
 echo "==> infer smoke (serving fixture: CLI and daemon answer identical bytes)"
 # Both shipped inference fixtures must price through `amped infer --json`
 # and POST /v1/infer byte-identically, lead with schema_version, and keep
-# the serving-mapping search bit-identical across worker counts and with
-# pruning on or off.
+# the serving-mapping search bit-identical with pruning on or off.
 for fixture in tests/fixtures/infer-dev-small.json tests/fixtures/infer-llama-serve.json; do
     infer_cli=$(./target/release/amped infer --json --config "$fixture")
     infer_serve=$($client "$addr" POST /v1/infer "$fixture")
@@ -162,16 +166,18 @@ for fixture in tests/fixtures/infer-dev-small.json tests/fixtures/infer-llama-se
         || { echo "infer smoke failed: no KV-cache accounting in the artifact"; exit 1; }
 done
 serve_fixture=tests/fixtures/infer-llama-serve.json
-./target/release/amped search --workload infer --json --top 5 --jobs 1 \
-    --config "$serve_fixture" > "$serve_dir/serving_j1.json"
-./target/release/amped search --workload infer --json --top 5 --jobs 4 --prune \
-    --config "$serve_fixture" > "$serve_dir/serving_j4.json"
-cmp "$serve_dir/serving_j1.json" "$serve_dir/serving_j4.json" \
-    || { echo "infer smoke failed: serving search depends on jobs/pruning"; exit 1; }
-serving_serve=$($client "$addr" POST "/v1/search?workload=infer&top=5&jobs=4&prune=true" "$serve_fixture")
-[ "$serving_serve" = "$(cat "$serve_dir/serving_j4.json")" ] \
-    || { echo "infer smoke failed: serving search differs across front-ends"; exit 1; }
-echo "infer smoke ok: serving artifacts byte-identical across front-ends, jobs, and pruning"
+./target/release/amped search --workload infer --json --top 5 \
+    --config "$serve_fixture" > "$serve_dir/serving_full.json"
+./target/release/amped search --workload infer --json --top 5 --prune \
+    --config "$serve_fixture" > "$serve_dir/serving_pruned.json"
+cmp "$serve_dir/serving_full.json" "$serve_dir/serving_pruned.json" \
+    || { echo "infer smoke failed: serving search depends on pruning"; exit 1; }
+for query in "workload=infer&top=5" "workload=infer&top=5&prune=true"; do
+    serving_serve=$($client "$addr" POST "/v1/search?$query" "$serve_fixture")
+    [ "$serving_serve" = "$(cat "$serve_dir/serving_full.json")" ] \
+        || { echo "infer smoke failed: /v1/search?$query differs from the CLI"; exit 1; }
+done
+echo "infer smoke ok: serving artifacts byte-identical across front-ends and pruning"
 
 # Every JSON response must re-parse; the sweep is CSV with a winners line.
 python3 - "$serve_dir" <<'EOF'
