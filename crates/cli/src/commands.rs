@@ -245,8 +245,13 @@ impl ObsSession {
     }
 }
 
-/// Route a parsed command line to its implementation.
+/// Route a parsed command line to its implementation. `--help` or `-h`
+/// anywhere on the line prints the help text instead of running anything.
 pub fn dispatch(args: &Args) -> Result<String> {
+    // `--help value` parses as a flag, so look for both spellings.
+    if args.switch("help") || args.get("help").is_some() || args.switch("h") {
+        return Ok(HELP.to_string());
+    }
     let command = args.command.as_deref().unwrap_or("help");
     if let Some(op) = Op::for_command(command, args)? {
         return shared(args, command, op);
@@ -804,6 +809,17 @@ mod tests {
         let h = run("help").unwrap();
         assert!(h.contains("estimate") && h.contains("search"));
         assert_eq!(run("").unwrap(), h);
+    }
+
+    #[test]
+    fn help_flag_prints_help_instead_of_running() {
+        let h = run("help").unwrap();
+        // A shared command (it would run a default search) and a CLI-only
+        // one (it would start a server).
+        assert_eq!(run("search --help").unwrap(), h);
+        assert_eq!(run("search --model gpt3-175b -h").unwrap(), h);
+        assert_eq!(run("serve --help --port 0").unwrap(), h);
+        assert_eq!(run("--help estimate").unwrap(), h);
     }
 
     #[test]

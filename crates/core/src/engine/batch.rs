@@ -11,7 +11,10 @@
 //!   is one kernel call plus per-layer rows built from the same per-kind
 //!   terms the kernel sums;
 //! - the branch-and-bound lower bound ([`Prepared::lower_bound`]) reuses
-//!   the kernel's hoisted compute terms and its TP communication function.
+//!   the kernel's hoisted compute terms and its TP communication function;
+//! - the search's microbatch tuning ([`Prepared::best_rung`]) folds a
+//!   mapping's ladder on the stack with the same per-rung code, building
+//!   one [`Estimate`] for the winner.
 //!
 //! A pass is organised for throughput. Everything that does not depend on
 //! the candidate (layer-kind groups, per-kind operation counts at the
@@ -22,15 +25,20 @@
 //! consecutive microbatch variants of one mapping share one evaluation of
 //! it. Layers of one kind are priced once and weighted by their
 //! multiplicity, so every sum runs over the distinct layer kinds in
-//! first-occurrence order.
+//! first-occurrence order. Per-kind operation counts and collective cost
+//! factors are recomputed where they are needed: each is cheaper than the
+//! hash lookup that would memoize it (see [`EstimateCache`]).
 //!
 //! Each candidate sees the same values, association and order whether it
 //! is priced alone or inside any batch, against a cold or a warm cache, so
 //! its result is the same bits either way.
 
+use std::cmp::Reverse;
+
 use amped_topo::Collective;
 
 use crate::accelerator::AcceleratorSpec;
+use crate::counts::LayerCounts;
 use crate::efficiency::EfficiencyModel;
 use crate::engine::{
     Breakdown, BubbleAccounting, DetailedEstimate, EngineOptions, Estimate, EstimateCache,
@@ -75,6 +83,30 @@ struct LayerComm {
     tp_intra: f64,
     tp_inter: f64,
     moe: f64,
+}
+
+/// One priced microbatch rung: its breakdown and microbatch split, before
+/// the [`Estimate`]'s derived metrics.
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    breakdown: Breakdown,
+    microbatch_size: f64,
+    num_microbatches: usize,
+    efficiency: f64,
+}
+
+/// The winning rung of [`Prepared::best_rung`].
+#[derive(Debug, Clone)]
+pub struct BestRung {
+    /// The winner's position in the rungs given.
+    pub index: usize,
+    /// The winning microbatch variant.
+    pub parallelism: Parallelism,
+    /// Whether the winner fits device memory (as the caller said).
+    pub fits_memory: bool,
+    /// The winner's estimate, bit-identical to
+    /// [`Prepared::estimate_many`]'s for the same variant.
+    pub estimate: Estimate,
 }
 
 /// The candidate-invariant slice of one layer kind's compute terms: the
@@ -215,7 +247,7 @@ impl<'a> BatchEvaluator<'a> {
         let kinds = groups
             .iter()
             .map(|&(kind, count)| {
-                let cg = cache.layer_counts(model, kind, training.global_batch() as f64);
+                let cg = LayerCounts::for_layer(model, kind, training.global_batch() as f64);
                 KindTerms {
                     kind,
                     macs_fwd: cg.macs_fwd,
@@ -280,21 +312,15 @@ impl<'a> BatchEvaluator<'a> {
     }
 
     /// Eq. 6 and Eq. 9 for one layer of `kind` under mapping `p`.
-    fn layer_comm(
-        &self,
-        cache: &mut EstimateCache,
-        p: &Parallelism,
-        kind: LayerKind,
-        replica_batch: f64,
-    ) -> LayerComm {
+    fn layer_comm(&self, p: &Parallelism, kind: LayerKind, replica_batch: f64) -> LayerComm {
         let system = self.system;
-        let cr = cache.layer_counts(self.model, kind, replica_batch);
+        let cr = LayerCounts::for_layer(self.model, kind, replica_batch);
         let (intra, inter) = (system.intra(), system.inter());
         let act_bits = self.precision.act_bits as f64;
         let mut out = LayerComm::default();
         // Eq. 6: intra-node TP all-reduce.
         if p.tp_intra() > 1 {
-            let cost = cache.collective(intra.topology, Collective::AllReduce, p.tp_intra());
+            let cost = intra.topology.cost(Collective::AllReduce, p.tp_intra());
             out.tp_intra = cost.time(
                 cr.act_elems_tp * act_bits,
                 intra.latency_s,
@@ -303,7 +329,7 @@ impl<'a> BatchEvaluator<'a> {
         }
         // Eq. 6 applied inter-node.
         if p.tp_inter() > 1 {
-            let cost = cache.collective(inter.topology, Collective::AllReduce, p.tp_inter());
+            let cost = inter.topology.cost(Collective::AllReduce, p.tp_inter());
             out.tp_inter = cost.time(
                 cr.act_elems_tp * act_bits,
                 inter.latency_s,
@@ -316,7 +342,7 @@ impl<'a> BatchEvaluator<'a> {
         // volume divides by the TP degree.
         if cr.act_elems_moe > 0.0 && system.num_nodes() >= 1 {
             let nodes = system.num_nodes() as f64;
-            let cost = cache.collective(inter.topology, Collective::AllToAll, system.num_nodes());
+            let cost = inter.topology.cost(Collective::AllToAll, system.num_nodes());
             let latency_term = 2.0 * inter.latency_s * cost.steps as f64;
             let volume_bits = cr.act_elems_moe * act_bits / p.tp() as f64;
             let bw_term = if nodes > 1.0 {
@@ -352,6 +378,11 @@ pub struct Prepared<'e> {
 }
 
 impl Prepared<'_> {
+    /// The training configuration this pass prices.
+    pub fn training(&self) -> &TrainingConfig {
+        &self.training
+    }
+
     /// Eq. 2 forward/backward and Eq. 12 weight-update time of one layer of
     /// kind `kt` at the global batch, undivided by the workers.
     #[inline]
@@ -370,101 +401,188 @@ impl Prepared<'_> {
         mappings: &[Parallelism],
     ) -> Vec<Result<Estimate>> {
         let eval = self.eval;
-        let (model, accel, system, opts) = (eval.model, eval.accel, eval.system, eval.options);
-        let global_batch = self.training.global_batch();
-        let recompute = opts.activation_recompute;
-        let model_flops = cache.model_flops(global_batch, recompute).unwrap_or_else(|| {
-            let v = metrics::model_flops_per_iteration(model, global_batch, recompute);
-            cache.set_model_flops(global_batch, recompute, v);
-            v
-        });
-
+        let model_flops = self.model_flops(cache);
         // Communication depends only on the mapping's degrees/ZeRO config
         // and the replica batch, never on the microbatch policy, so a run
         // of variants (adjacent by construction in the search) reuses one
         // evaluation. Keying on the policy-normalized mapping makes the
         // reuse exact rather than heuristic.
         let mut prev: Option<(Parallelism, (Breakdown, f64))> = None;
-        let num_batches = self.training.num_batches() as f64;
         mappings
             .iter()
             .map(|p| {
-                p.validate_against(system, model)?;
-                let workers = p.total_workers() as f64;
-                let n_ub = p.num_microbatches(global_batch);
-                let ub = p.microbatch_size(global_batch);
-                let eff = eval.efficiency.eval(ub);
-                // Eq. 3-4 reciprocal at this candidate's microbatch efficiency.
-                let c_mac = accel.c_mac(eff);
-                // With imbalance correction, the pipeline runs at the slowest
-                // stage's rate. With per-microbatch stage times t_s over the
-                // balanced contiguous partition (mean t̄, max t*), a
-                // GPipe-style pipeline of m microbatches completes a pass in
-                // `p·t̄ + (m−1)·t*`, while the balanced model charges
-                // `(m+p−1)·t̄`; scaling the compute (and its bubble share)
-                // by the ratio reproduces the slowest-stage behaviour exactly
-                // for compute-bound pipelines (see ablation 5 and
-                // tests/sim_agreement.rs). Clamping to ≥ 1 keeps the lower
-                // bound, which drops the correction, exact under rounding.
-                let imbalance = if opts.stage_imbalance_correction && p.pp() > 1 {
-                    let r = self.stage_imbalance_ratio(cache, p.pp(), eff, c_mac);
-                    let (m, pf) = (n_ub as f64, p.pp() as f64);
-                    ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0)
-                } else {
-                    1.0
-                };
+                p.validate_against(eval.system, eval.model)?;
                 let norm = p.with_microbatches(MicrobatchPolicy::Explicit(1));
-                let (mut b, bubble_comm) = match prev {
+                let comm = match prev {
                     Some((key, t)) if key == norm => t,
                     _ => {
-                        // Communication volumes use the per-replica batch,
-                        // compute terms the global one (see DESIGN.md
-                        // interpretation notes).
-                        let t = self.comm_terms(cache, p, p.replica_batch(global_batch));
+                        let t = self.mapping_comm(cache, p);
                         prev = Some((norm, t));
                         t
                     }
                 };
-                // Eq. 2 / Eq. 12, divided by the full worker product (Eq. 1).
-                let (mut sum_uf, mut sum_ub) = (0.0, 0.0); // Σ U_f(l), Σ U_b(l)
-                for kt in &self.kinds {
-                    let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
-                    let (iuf, iub) = (imbalance * u_f, imbalance * u_b);
-                    sum_uf += iuf * kt.count;
-                    sum_ub += iub * kt.count;
-                    b.compute_forward += iuf / workers * kt.count;
-                    b.compute_backward += iub / workers * kt.count;
-                    b.weight_update += u_w / workers * kt.count;
-                }
-                // Eq. 8 (see DESIGN.md): bubble = R·(N_PP−1)/N_ub ×
-                //   [ Σ(U_f+U_b)/(N_TP·N_DP·N_PP) + Σ(M_f+M_b) ].
-                if p.pp() > 1 {
-                    b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub as f64
-                        * (self.compute_scale * (sum_uf + sum_ub) / workers + bubble_comm);
-                }
-                let time_per_iteration = b.total();
-                Ok(Estimate {
-                    breakdown: b,
-                    time_per_iteration: Seconds::new(time_per_iteration),
-                    total_time: Seconds::new(time_per_iteration * num_batches),
-                    microbatch_size: ub,
-                    num_microbatches: n_ub,
-                    efficiency: eff,
-                    model_flops_per_iteration: model_flops,
-                    tflops_per_gpu: metrics::tflops_per_gpu(
-                        model_flops,
-                        time_per_iteration,
-                        workers,
-                    ),
-                    total_workers: p.total_workers(),
-                    tokens_per_sec: if time_per_iteration > 0.0 {
-                        (global_batch * model.seq_len()) as f64 / time_per_iteration
-                    } else {
-                        0.0
-                    },
-                })
+                Ok(self.estimate_of(p, &self.price_rung(cache, p, comm), model_flops))
             })
             .collect()
+    }
+
+    /// The `(fits, −time)` winner among `rungs`, the microbatch variants of
+    /// one mapping, each paired with whether it fits device memory: a
+    /// fitting rung beats a non-fitting one, then the faster total time
+    /// wins, and on a tie the earlier rung stays. With `require_fit`,
+    /// non-fitting rungs are skipped unpriced. `Ok(None)` when no rung was
+    /// retained.
+    ///
+    /// The mapping is validated once (the rungs share its degrees, and
+    /// validation never reads the microbatch policy) and its communication
+    /// is priced once. Each rung then prices only its compute and bubble,
+    /// with [`Prepared::estimate_many`]'s code, and one [`Estimate`] is
+    /// built, for the winner: the result is what folding
+    /// `estimate_many`'s results over the same rungs gives, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the mapping's validation error, whether or not any rung is
+    /// retained.
+    pub fn best_rung(
+        &self,
+        cache: &mut EstimateCache,
+        rungs: impl IntoIterator<Item = (Parallelism, bool)>,
+        require_fit: bool,
+    ) -> Result<Option<BestRung>> {
+        let mut rungs = rungs.into_iter().peekable();
+        let Some(&(first, _)) = rungs.peek() else {
+            return Ok(None);
+        };
+        first.validate_against(self.eval.system, self.eval.model)?;
+        let comm = self.mapping_comm(cache, &first);
+        let num_batches = self.training.num_batches() as f64;
+        let mut best: Option<(usize, Parallelism, bool, Rung, f64)> = None;
+        for (index, (p, fits)) in rungs.enumerate() {
+            debug_assert!(
+                p.with_microbatches(first.microbatch_policy()) == first,
+                "rungs of one mapping differ only in the microbatch policy"
+            );
+            if require_fit && !fits {
+                continue;
+            }
+            let rung = self.price_rung(cache, &p, comm);
+            let time = rung.breakdown.total() * num_batches;
+            let better = best.as_ref().is_none_or(|&(_, _, b_fits, _, b_time)| {
+                (fits, Reverse(time)) > (b_fits, Reverse(b_time))
+            });
+            if better {
+                best = Some((index, p, fits, rung, time));
+            }
+        }
+        let Some((index, parallelism, fits_memory, rung, _)) = best else {
+            return Ok(None);
+        };
+        let estimate = self.estimate_of(&parallelism, &rung, self.model_flops(cache));
+        Ok(Some(BestRung {
+            index,
+            parallelism,
+            fits_memory,
+            estimate,
+        }))
+    }
+
+    /// The memoized model FLOPs per iteration of this pass.
+    fn model_flops(&self, cache: &mut EstimateCache) -> f64 {
+        let global_batch = self.training.global_batch();
+        let recompute = self.eval.options.activation_recompute;
+        cache.model_flops(global_batch, recompute).unwrap_or_else(|| {
+            let v = metrics::model_flops_per_iteration(self.eval.model, global_batch, recompute);
+            cache.set_model_flops(global_batch, recompute, v);
+            v
+        })
+    }
+
+    /// [`Prepared::comm_terms`] at `p`'s replica batch: communication
+    /// volumes use the per-replica batch, compute terms the global one
+    /// (see DESIGN.md interpretation notes).
+    fn mapping_comm(&self, cache: &mut EstimateCache, p: &Parallelism) -> (Breakdown, f64) {
+        self.comm_terms(cache, p, p.replica_batch(self.training.global_batch()))
+    }
+
+    /// One rung of a mapping whose communication block is `comm`: Eq. 1,
+    /// 2, 8 and 12 at the rung's microbatch efficiency, added onto `comm`.
+    fn price_rung(
+        &self,
+        cache: &mut EstimateCache,
+        p: &Parallelism,
+        (mut b, bubble_comm): (Breakdown, f64),
+    ) -> Rung {
+        let eval = self.eval;
+        let global_batch = self.training.global_batch();
+        let workers = p.total_workers() as f64;
+        let n_ub = p.num_microbatches(global_batch);
+        let ub = p.microbatch_size(global_batch);
+        let eff = eval.efficiency.eval(ub);
+        // Eq. 3-4 reciprocal at this candidate's microbatch efficiency.
+        let c_mac = eval.accel.c_mac(eff);
+        // With imbalance correction, the pipeline runs at the slowest
+        // stage's rate. With per-microbatch stage times t_s over the
+        // balanced contiguous partition (mean t̄, max t*), a GPipe-style
+        // pipeline of m microbatches completes a pass in `p·t̄ + (m−1)·t*`,
+        // while the balanced model charges `(m+p−1)·t̄`; scaling the compute
+        // (and its bubble share) by the ratio reproduces the slowest-stage
+        // behaviour exactly for compute-bound pipelines (see ablation 5 and
+        // tests/sim_agreement.rs). Clamping to ≥ 1 keeps the lower bound,
+        // which drops the correction, exact under rounding.
+        let imbalance = if eval.options.stage_imbalance_correction && p.pp() > 1 {
+            let r = self.stage_imbalance_ratio(cache, p.pp(), eff, c_mac);
+            let (m, pf) = (n_ub as f64, p.pp() as f64);
+            ((pf + (m - 1.0) * r) / (m + pf - 1.0)).max(1.0)
+        } else {
+            1.0
+        };
+        // Eq. 2 / Eq. 12, divided by the full worker product (Eq. 1).
+        let (mut sum_uf, mut sum_ub) = (0.0, 0.0); // Σ U_f(l), Σ U_b(l)
+        for kt in &self.kinds {
+            let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
+            let (iuf, iub) = (imbalance * u_f, imbalance * u_b);
+            sum_uf += iuf * kt.count;
+            sum_ub += iub * kt.count;
+            b.compute_forward += iuf / workers * kt.count;
+            b.compute_backward += iub / workers * kt.count;
+            b.weight_update += u_w / workers * kt.count;
+        }
+        // Eq. 8 (see DESIGN.md): bubble = R·(N_PP−1)/N_ub ×
+        //   [ Σ(U_f+U_b)/(N_TP·N_DP·N_PP) + Σ(M_f+M_b) ].
+        if p.pp() > 1 {
+            b.bubble = p.bubble_ratio() * (p.pp() as f64 - 1.0) / n_ub as f64
+                * (self.compute_scale * (sum_uf + sum_ub) / workers + bubble_comm);
+        }
+        Rung {
+            breakdown: b,
+            microbatch_size: ub,
+            num_microbatches: n_ub,
+            efficiency: eff,
+        }
+    }
+
+    /// The [`Estimate`] of mapping `p` priced as `rung`.
+    fn estimate_of(&self, p: &Parallelism, rung: &Rung, model_flops: f64) -> Estimate {
+        let workers = p.total_workers() as f64;
+        let time_per_iteration = rung.breakdown.total();
+        Estimate {
+            breakdown: rung.breakdown,
+            time_per_iteration: Seconds::new(time_per_iteration),
+            total_time: Seconds::new(time_per_iteration * self.training.num_batches() as f64),
+            microbatch_size: rung.microbatch_size,
+            num_microbatches: rung.num_microbatches,
+            efficiency: rung.efficiency,
+            model_flops_per_iteration: model_flops,
+            tflops_per_gpu: metrics::tflops_per_gpu(model_flops, time_per_iteration, workers),
+            total_workers: p.total_workers(),
+            tokens_per_sec: if time_per_iteration > 0.0 {
+                (self.training.global_batch() * self.eval.model.seq_len()) as f64
+                    / time_per_iteration
+            } else {
+                0.0
+            },
+        }
     }
 
     /// A lower bound on the total training time of the fastest of
@@ -484,12 +602,15 @@ impl Prepared<'_> {
     /// prune candidates against an incumbent best time without ever
     /// discarding the true optimum.
     ///
+    /// The bound reads no memoized sub-result; `_cache` is the pass's cache,
+    /// taken like every other per-candidate call of a pass.
+    ///
     /// # Errors
     ///
     /// Returns the first variant that does not fit the system/model.
     pub fn lower_bound(
         &self,
-        cache: &mut EstimateCache,
+        _cache: &mut EstimateCache,
         variants: impl IntoIterator<Item = Parallelism>,
     ) -> Result<f64> {
         let eval = self.eval;
@@ -499,7 +620,7 @@ impl Prepared<'_> {
         let mut bound = f64::INFINITY;
         for v in variants {
             v.validate_against(eval.system, eval.model)?;
-            let tp = *floor.get_or_insert_with(|| self.tp_floor(cache, &v));
+            let tp = *floor.get_or_insert_with(|| self.tp_floor(&v));
             let workers = v.total_workers() as f64;
             let eff = eval.efficiency.eval(v.microbatch_size(global_batch));
             let c_mac = eval.accel.c_mac(eff);
@@ -520,7 +641,7 @@ impl Prepared<'_> {
 
     /// `tp_comm_intra + tp_comm_inter` of mapping `p`, accumulated exactly
     /// as [`Prepared::comm_terms`] accumulates them.
-    fn tp_floor(&self, cache: &mut EstimateCache, p: &Parallelism) -> f64 {
+    fn tp_floor(&self, p: &Parallelism) -> f64 {
         if p.tp() == 1 {
             return 0.0;
         }
@@ -528,7 +649,7 @@ impl Prepared<'_> {
         let replica_batch = p.replica_batch(self.training.global_batch());
         let (mut intra, mut inter) = (0.0, 0.0);
         for &(kind, count) in &self.groups {
-            let t = self.eval.layer_comm(cache, p, kind, replica_batch);
+            let t = self.eval.layer_comm(p, kind, replica_batch);
             intra += comm_passes * stage_share * t.tp_intra * count as f64;
             inter += comm_passes * stage_share * t.tp_inter * count as f64;
         }
@@ -551,7 +672,7 @@ impl Prepared<'_> {
         let mut out = Breakdown::default();
         let mut bubble_comm = 0.0;
         for &(kind, count) in &self.groups {
-            let t = eval.layer_comm(cache, p, kind, replica_batch);
+            let t = eval.layer_comm(p, kind, replica_batch);
             let n = count as f64;
             let tp_intra = comm_passes * stage_share * t.tp_intra * n;
             out.tp_comm_intra += tp_intra;
@@ -600,7 +721,7 @@ impl Prepared<'_> {
         let grad_bits = eval.precision.grad_bits as f64;
         let n_g_total = self.grad_sync_volume(cache, p);
         if p.dp_intra() > 1 {
-            let cost = cache.collective(intra.topology, grad_collective, p.dp_intra());
+            let cost = intra.topology.cost(grad_collective, p.dp_intra());
             out.dp_comm_intra = cost.time(
                 n_g_total * grad_bits,
                 intra.latency_s,
@@ -610,7 +731,7 @@ impl Prepared<'_> {
         if p.dp_inter() > 1 {
             // The intra-node phase reduce-scatters, so each accelerator
             // carries only its 1/DP_intra shard across nodes.
-            let cost = cache.collective(inter.topology, grad_collective, p.dp_inter());
+            let cost = inter.topology.cost(grad_collective, p.dp_inter());
             out.dp_comm_inter = cost.time(
                 n_g_total / p.dp_intra() as f64 * grad_bits,
                 inter.latency_s,
@@ -625,9 +746,9 @@ impl Prepared<'_> {
     /// weights across the nodes rather than replicating them, so each
     /// accelerator only synchronizes its 1/EP share of the expert
     /// gradients.
-    fn grad_share(&self, cache: &mut EstimateCache, kind: LayerKind, p: &Parallelism) -> f64 {
+    fn grad_share(&self, kind: LayerKind, p: &Parallelism) -> f64 {
         let (model, system) = (self.eval.model, self.eval.system);
-        let c = cache.layer_counts(model, kind, 1.0);
+        let c = LayerCounts::for_layer(model, kind, 1.0);
         let expert_parallel = model
             .moe()
             .map(|cfg| cfg.num_experts.min(system.num_nodes()).max(1))
@@ -645,7 +766,7 @@ impl Prepared<'_> {
         let v: f64 = self
             .groups
             .iter()
-            .map(|&(kind, count)| self.grad_share(cache, kind, p) * count as f64)
+            .map(|&(kind, count)| self.grad_share(kind, p) * count as f64)
             .sum();
         cache.set_grad_volume(p.tp(), p.pp(), v);
         v
@@ -669,7 +790,7 @@ impl Prepared<'_> {
         let weights: Vec<f64> = stack
             .iter()
             .map(|&kind| {
-                let c = cache.layer_counts(model, kind, 1.0);
+                let c = LayerCounts::for_layer(model, kind, 1.0);
                 c.macs_fwd * c_mac * self.mac_scale
                     + c.nonlin_fwd * self.c_nonlin * self.nonlin_scale
             })
@@ -716,8 +837,8 @@ impl Prepared<'_> {
             .iter()
             .map(|kt| {
                 let [u_f, u_b, u_w] = self.layer_compute(kt, c_mac);
-                let t = eval.layer_comm(cache, p, kt.kind, replica_batch);
-                let n_g = self.grad_share(cache, kt.kind, p);
+                let t = eval.layer_comm(p, kt.kind, replica_batch);
+                let n_g = self.grad_share(kt.kind, p);
                 LayerEstimate {
                     index: 0,
                     kind: kt.kind,

@@ -2,14 +2,24 @@
 //!
 //! Design-space search evaluates thousands of `(Parallelism, TrainingConfig)`
 //! points against a *fixed* model / accelerator / system / precision /
-//! efficiency / engine-option context. Most of the work inside
-//! [`Estimator::estimate`](super::Estimator::estimate) is invariant across
-//! those points: per-layer operation counts depend only on `(kind, batch)`,
-//! collective cost factors only on `(topology, collective, group size)`,
-//! the gradient-sync volume only on `(TP, PP)`, and the stage-imbalance
-//! ratio only on `(PP, eff)`. [`EstimateCache`] memoizes exactly those
-//! sub-results so [`Estimator::estimate_cached`](super::Estimator::estimate_cached)
-//! does O(distinct layer kinds) work per call instead of O(layers).
+//! efficiency / engine-option context. [`EstimateCache`] memoizes the
+//! sub-results of
+//! [`Estimator::estimate_cached`](super::Estimator::estimate_cached) that
+//! are invariant across those points **and walk the layer stack** to
+//! compute:
+//!
+//! - the layer-kind groups (one pass over the stack, and the grouping the
+//!   kernel's float association is fixed by);
+//! - the stage-imbalance ratio, keyed by `(PP, eff)` (per-layer forward
+//!   times over the whole stack);
+//! - the gradient-sync volume `N_g`, keyed by `(TP, PP)`;
+//! - the model FLOPs per iteration, keyed by `(global batch, recompute)`.
+//!
+//! What takes fewer flops than one hash of its key is recomputed instead:
+//! per-kind operation counts ([`LayerCounts::for_layer`](crate::counts::LayerCounts::for_layer),
+//! about 30 flops) and collective cost factors (`Topology::cost`, a few
+//! integer operations). A SipHash lookup costs more than either, so the
+//! kernel calls them directly.
 //!
 //! # Context binding
 //!
@@ -18,14 +28,11 @@
 //! accelerator, system, precision, efficiency model and engine options —
 //! the parallelism mapping and training configuration are the only inputs
 //! allowed to vary (they are part of every key). `amped-search` upholds
-//! this by creating one cache per worker per engine; ad-hoc callers should
+//! this by creating one cache per search pass; ad-hoc callers should
 //! create a fresh cache per scenario (construction is free).
 
 use std::collections::HashMap;
 
-use amped_topo::{Collective, CollectiveCost, Topology};
-
-use crate::counts::LayerCounts;
 use crate::model::{LayerKind, TransformerModel};
 
 /// Memoized sub-results of the analytical model (see the module docs for
@@ -63,10 +70,6 @@ use crate::model::{LayerKind, TransformerModel};
 pub struct EstimateCache {
     /// Layer kinds with their multiplicities, in first-occurrence order.
     groups: Option<Vec<(LayerKind, usize)>>,
-    /// Per-layer counts keyed by `(kind, batch.to_bits())`.
-    counts: HashMap<(LayerKind, u64), LayerCounts>,
-    /// Collective cost factors keyed by `(topology, collective, group size)`.
-    collectives: HashMap<(Topology, Collective, usize), CollectiveCost>,
     /// Stage-imbalance ratio `t*/t̄ ≥ 1`, keyed by `(pp, eff.to_bits())`.
     imbalance: HashMap<(usize, u64), f64>,
     /// Fused gradient-sync volume `N_g` keyed by `(tp, pp)`.
@@ -96,8 +99,6 @@ impl EstimateCache {
     /// Drop every memoized value (e.g. before switching scenarios).
     pub fn clear(&mut self) {
         self.groups = None;
-        self.counts.clear();
-        self.collectives.clear();
         self.imbalance.clear();
         self.grad_volume.clear();
         self.model_flops.clear();
@@ -121,42 +122,6 @@ impl EstimateCache {
         }
         self.groups = Some(groups.clone());
         groups
-    }
-
-    /// Per-layer counts at `batch` sequences.
-    pub(crate) fn layer_counts(
-        &mut self,
-        model: &TransformerModel,
-        kind: LayerKind,
-        batch: f64,
-    ) -> LayerCounts {
-        let key = (kind, batch.to_bits());
-        if let Some(c) = self.counts.get(&key) {
-            self.hits += 1;
-            return *c;
-        }
-        self.misses += 1;
-        let c = LayerCounts::for_layer(model, kind, batch);
-        self.counts.insert(key, c);
-        c
-    }
-
-    /// Collective cost factor for `collective` over `n` ranks on `topology`.
-    pub(crate) fn collective(
-        &mut self,
-        topology: Topology,
-        collective: Collective,
-        n: usize,
-    ) -> CollectiveCost {
-        let key = (topology, collective, n);
-        if let Some(c) = self.collectives.get(&key) {
-            self.hits += 1;
-            return *c;
-        }
-        self.misses += 1;
-        let c = topology.cost(collective, n);
-        self.collectives.insert(key, c);
-        c
     }
 
     /// Memoized stage-imbalance ratio for `(pp, eff)`.
@@ -243,29 +208,23 @@ mod tests {
     }
 
     #[test]
-    fn layer_counts_hit_on_repeat_and_distinguish_batches() {
-        let m = model();
-        let mut cache = EstimateCache::new();
-        let a = cache.layer_counts(&m, LayerKind::Dense, 8.0);
-        let misses = cache.misses();
-        let b = cache.layer_counts(&m, LayerKind::Dense, 8.0);
-        assert_eq!(a, b);
-        assert_eq!(cache.misses(), misses, "repeat lookup must not recompute");
-        let c = cache.layer_counts(&m, LayerKind::Dense, 16.0);
-        assert!(c.macs_fwd > a.macs_fwd);
-        assert_eq!(cache.misses(), misses + 1);
-    }
-
-    #[test]
     fn clear_forgets_everything() {
         let m = model();
         let mut cache = EstimateCache::new();
         cache.groups(&m);
-        cache.layer_counts(&m, LayerKind::Head, 4.0);
-        cache.collective(Topology::Ring, Collective::AllReduce, 8);
+        cache.set_imbalance_ratio(4, 0.5f64.to_bits(), 1.25);
+        cache.set_grad_volume(2, 4, 1e6);
+        cache.set_model_flops(64, true, 1e12);
+        assert_eq!(cache.imbalance_ratio(4, 0.5f64.to_bits()), Some(1.25));
+        assert_eq!(cache.grad_volume(2, 4), Some(1e6));
+        assert_eq!(cache.model_flops(64, true), Some(1e12));
         cache.clear();
+        assert_eq!(cache.imbalance_ratio(4, 0.5f64.to_bits()), None);
+        assert_eq!(cache.grad_volume(2, 4), None);
+        assert_eq!(cache.model_flops(64, true), None);
+        // The groups are rebuilt: a miss, not a hit.
         let misses = cache.misses();
-        cache.layer_counts(&m, LayerKind::Head, 4.0);
+        cache.groups(&m);
         assert_eq!(cache.misses(), misses + 1);
     }
 }

@@ -18,7 +18,7 @@ mod options;
 mod pool;
 
 pub use backend::{AnalyticalBackend, BreakdownFidelity, CostBackend, ObservedBackend, Scenario};
-pub use batch::{BatchEvaluator, Prepared};
+pub use batch::{BatchEvaluator, BestRung, Prepared};
 pub use breakdown::{Breakdown, Estimate};
 pub use cache::EstimateCache;
 pub use pool::{context_key, CacheLease, CachePool};

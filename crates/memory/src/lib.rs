@@ -41,6 +41,10 @@ pub use kv::{KvCacheModel, KvCapacityFailure, KvFootprint, ServeBatchFit};
 use amped_core::{Parallelism, Precision, Scenario, TransformerModel, ZeroStage};
 use serde::{Deserialize, Serialize};
 
+/// Mixed-precision Adam's state per parameter: fp32 master weights and
+/// first and second moments.
+const ADAM_MIXED_STATE_BYTES: f64 = 12.0;
+
 /// Optimizer state size per parameter, in bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerSpec {
@@ -61,7 +65,7 @@ impl OptimizerSpec {
     /// Mixed-precision Adam: fp32 master weights + first and second moments
     /// = 12 bytes of state per parameter.
     pub fn adam_mixed_precision() -> Self {
-        Self::new("adam-mixed", 12.0)
+        Self::new("adam-mixed", ADAM_MIXED_STATE_BYTES)
     }
 
     /// Plain SGD with momentum: one fp32 buffer.
@@ -228,7 +232,11 @@ impl std::fmt::Display for MemoryFootprint {
 }
 
 /// The per-device memory model.
-#[derive(Debug, Clone)]
+///
+/// A model is plain data: building it walks the layer stack once, and
+/// [`MemoryModel::for_mapping`] re-points a copy at another mapping of the
+/// same model without walking it again.
+#[derive(Debug, Clone, Copy)]
 pub struct MemoryModel<'a> {
     model: &'a TransformerModel,
     parallelism: &'a Parallelism,
@@ -236,7 +244,9 @@ pub struct MemoryModel<'a> {
     // footprint needs it on every call, so it is computed once here.
     total_params: f64,
     precision: Precision,
-    optimizer: OptimizerSpec,
+    /// [`OptimizerSpec::state_bytes_per_param`] of the configured
+    /// optimizer, the only part of it the footprint reads.
+    state_bytes_per_param: f64,
     schedule: PipelineSchedule,
     recompute: RecomputePolicy,
 }
@@ -250,7 +260,7 @@ impl<'a> MemoryModel<'a> {
             parallelism,
             total_params: model.total_parameters(),
             precision: Precision::default(),
-            optimizer: OptimizerSpec::default(),
+            state_bytes_per_param: ADAM_MIXED_STATE_BYTES,
             schedule: PipelineSchedule::default(),
             recompute: RecomputePolicy::None,
         }
@@ -272,8 +282,21 @@ impl<'a> MemoryModel<'a> {
 
     /// Override the optimizer.
     pub fn with_optimizer(mut self, optimizer: OptimizerSpec) -> Self {
-        self.optimizer = optimizer;
+        self.state_bytes_per_param = optimizer.state_bytes_per_param();
         self
+    }
+
+    /// This model, with every setting kept, for another `parallelism` of
+    /// the same transformer — what a search over many mappings re-points
+    /// instead of building one model per mapping.
+    pub fn for_mapping<'b>(&self, parallelism: &'b Parallelism) -> MemoryModel<'b>
+    where
+        'a: 'b,
+    {
+        MemoryModel {
+            parallelism,
+            ..*self
+        }
     }
 
     /// Override the pipeline schedule.
@@ -354,7 +377,7 @@ impl<'a> MemoryModel<'a> {
             ZeroStage::None => params_unsharded,
             _ => params_unsharded / dp,
         };
-        let optimizer = opt_params * self.optimizer.state_bytes_per_param;
+        let optimizer = opt_params * self.state_bytes_per_param;
 
         let layers_per_stage =
             (self.model.num_layers() as f64 / p.pp() as f64).ceil().max(1.0);
@@ -610,6 +633,31 @@ mod tests {
         assert!(fp.weights > 2e9 && fp.weights < 4e9, "weights = {}", fp.weights);
         // Adam states at 12 B/param dominate.
         assert!(fp.optimizer > 5.0 * fp.weights);
+    }
+
+    #[test]
+    fn repointed_model_matches_a_fresh_one() {
+        let m = model();
+        let single = Parallelism::single();
+        let base = MemoryModel::new(&m, &single)
+            .with_optimizer(OptimizerSpec::sgd_momentum())
+            .with_schedule(PipelineSchedule::GPipe)
+            .with_activation_recompute(true);
+        let p = Parallelism::builder()
+            .tp(2, 1)
+            .pp(4, 1)
+            .zero(ZeroConfig::stage(ZeroStage::OptimizerStates, 0.5))
+            .dp(1, 2)
+            .build()
+            .unwrap();
+        let fresh = MemoryModel::new(&m, &p)
+            .with_optimizer(OptimizerSpec::sgd_momentum())
+            .with_schedule(PipelineSchedule::GPipe)
+            .with_activation_recompute(true);
+        let (a, b) = (base.for_mapping(&p).footprint(4.0, 8), fresh.footprint(4.0, 8));
+        assert_eq!(a.total().to_bits(), b.total().to_bits());
+        assert_eq!(a.optimizer.to_bits(), b.optimizer.to_bits());
+        assert_eq!(a.activations.to_bits(), b.activations.to_bits());
     }
 
     #[test]

@@ -37,6 +37,18 @@ fn with_schema_version(value: Value) -> Value {
     }
 }
 
+/// A versioned object artifact built from owned entries, in order. Each
+/// value moves into the document; `json!` would serialize, and so deep-copy,
+/// a `Value` given to it, which is too much for ranked rows.
+fn versioned<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    with_schema_version(Value::Object(
+        entries
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    ))
+}
+
 /// The estimate artifact: the [`Estimate`] document, or an
 /// `{ "estimate": ..., "resilience": ... }` bundle when a
 /// checkpoint/restart expectation is layered on top. Either shape leads
@@ -69,8 +81,7 @@ pub fn search_row(c: &Candidate) -> Value {
 
 /// The search artifact: the top `top` ranked rows.
 pub fn search_rows(results: &[Candidate], top: usize) -> Value {
-    let rows: Vec<Value> = results.iter().take(top).map(search_row).collect();
-    serde_json::to_value(&rows)
+    Value::Array(results.iter().take(top).map(search_row).collect())
 }
 
 /// The full search artifact: the ranked rows plus the memory-rejection
@@ -78,16 +89,19 @@ pub fn search_rows(results: &[Candidate], top: usize) -> Value {
 /// first failed. Both front-ends (`amped search --json` and
 /// `/v1/search`) render through this builder.
 pub fn search_value(results: &[Candidate], top: usize, stats: &SearchStats) -> Value {
-    with_schema_version(serde_json::json!({
-        "rows": search_rows(results, top),
-        "memory_rejected": {
-            "total": stats.memory_rejected.total(),
-            "weights": stats.memory_rejected.weights,
-            "gradients": stats.memory_rejected.gradients,
-            "optimizer": stats.memory_rejected.optimizer,
-            "activations": stats.memory_rejected.activations,
-        },
-    }))
+    versioned([
+        ("rows", search_rows(results, top)),
+        (
+            "memory_rejected",
+            serde_json::json!({
+                "total": stats.memory_rejected.total(),
+                "weights": stats.memory_rejected.weights,
+                "gradients": stats.memory_rejected.gradients,
+                "optimizer": stats.memory_rejected.optimizer,
+                "activations": stats.memory_rejected.activations,
+            }),
+        ),
+    ])
 }
 
 /// The recommend artifact: the winning mapping with its alternatives,
@@ -148,20 +162,23 @@ pub fn serving_search_value(
     let front = serving_pareto_front(results);
     let on_front =
         |c: &ServingCandidate| front.iter().any(|f| std::ptr::eq::<ServingCandidate>(*f, c));
-    let rows: Vec<Value> = results
+    let rows = results
         .iter()
         .take(top)
         .map(|c| serving_row(c, on_front(c)))
         .collect();
-    with_schema_version(serde_json::json!({
-        "workload": "infer",
-        "rows": rows,
-        "memory_rejected": {
-            "total": stats.memory_rejected.total(),
-            "weights": stats.memory_rejected.weights,
-            "kv_cache": stats.memory_rejected.kv_cache,
-        },
-    }))
+    versioned([
+        ("workload", Value::Str("infer".to_string())),
+        ("rows", Value::Array(rows)),
+        (
+            "memory_rejected",
+            serde_json::json!({
+                "total": stats.memory_rejected.total(),
+                "weights": stats.memory_rejected.weights,
+                "kv_cache": stats.memory_rejected.kv_cache,
+            }),
+        ),
+    ])
 }
 
 /// The resilience artifact: the estimate bundled with the

@@ -31,7 +31,8 @@
 //! * **Batched, memoized pricing** — the training search hoists the
 //!   candidate-invariant terms once per pass
 //!   ([`BatchEvaluator::prepare`](amped_core::BatchEvaluator::prepare))
-//!   and prices each mapping's microbatch variants in one kernel call
+//!   and folds each mapping's microbatch variants in one kernel call
+//!   ([`Prepared::best_rung`](amped_core::engine::Prepared::best_rung))
 //!   against one [`EstimateCache`](amped_core::EstimateCache), and a
 //!   closed-form memory solve drops microbatch variants that cannot win.
 //! * **Branch-and-bound pruning** — a compute-only lower bound lets the
@@ -79,10 +80,11 @@ pub use sweep::{Sweep, SweepCell, SweepPoint, SweepRow};
 use std::sync::Arc;
 
 use amped_core::{
-    engine::Prepared, AcceleratorSpec, BatchEvaluator, CacheLease, CachePool,
-    CorrelatedResilience, CostBackend, EfficiencyModel, ElasticParams, EngineOptions, Estimate,
-    EstimateCache, FailureDomainTree, MicrobatchPolicy, Parallelism, Precision, ResilienceParams,
-    ResilienceReport, Result, Scenario, SystemSpec, TrainingConfig, TransformerModel, ZeroConfig,
+    engine::{BestRung, Prepared},
+    AcceleratorSpec, BatchEvaluator, CacheLease, CachePool, CorrelatedResilience, CostBackend,
+    EfficiencyModel, ElasticParams, EngineOptions, Estimate, EstimateCache, FailureDomainTree,
+    MicrobatchPolicy, Parallelism, Precision, ResilienceParams, ResilienceReport, Result, Scenario,
+    SystemSpec, TrainingConfig, TransformerModel, ZeroConfig,
 };
 use amped_energy::{EnergyEstimate, PowerModel};
 use amped_memory::{MemoryFootprint, MemoryModel, MicrobatchFit, OptimizerSpec, PipelineSchedule};
@@ -154,8 +156,9 @@ pub fn enumerate_mappings(
     let mut out = Vec::new();
     let max_tp = opts.max_tp.unwrap_or(model.num_heads());
     let max_pp = opts.max_pp.unwrap_or(model.num_layers());
+    let inter = factor_triples(system.num_nodes());
     for (tp_i, pp_i, dp_i) in factor_triples(system.accels_per_node()) {
-        for (tp_x, pp_x, dp_x) in factor_triples(system.num_nodes()) {
+        for &(tp_x, pp_x, dp_x) in &inter {
             if !opts.allow_tp_inter && tp_x > 1 {
                 continue;
             }
@@ -705,8 +708,10 @@ impl<'a> SearchEngine<'a> {
         };
         let _rank_phase = self.observer.as_ref().map(|o| o.phase("search.rank"));
         let stats = self.account(mappings.len(), &explored);
-        let mut out: Vec<Candidate> = explored.kept.into_iter().map(|(_, c)| c).collect();
-        out.sort_by(candidate_order);
+        // Sort the boxes, so each candidate moves once, when it is unboxed.
+        let mut ranked: Vec<Box<Candidate>> = explored.kept.into_iter().map(|(_, c)| c).collect();
+        ranked.sort_by(|a, b| candidate_order(a, b));
+        let mut out: Vec<Candidate> = ranked.into_iter().map(|c| *c).collect();
         drop(_rank_phase);
         if self.refine_sim > 0 {
             let _phase = self.observer.as_ref().map(|o| o.phase("search.refine"));
@@ -721,7 +726,7 @@ impl<'a> SearchEngine<'a> {
     fn account(
         &self,
         generated: usize,
-        explored: &Explored<Candidate, CapacityFailure>,
+        explored: &Explored<Box<Candidate>, CapacityFailure>,
     ) -> SearchStats {
         let mut stats = SearchStats {
             generated: generated as u64,
@@ -794,14 +799,16 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Run every mapping under each of `trainings` (training-major)
-    /// through the branch-and-bound executor, against one cache and one
-    /// prepared kernel pass per training.
+    /// through the branch-and-bound executor, against one cache, one
+    /// prepared kernel pass per training and one memory model.
     fn explore(
         &self,
         mappings: &[Parallelism],
         trainings: &[TrainingConfig],
-    ) -> Result<Explored<Candidate, CapacityFailure>> {
+    ) -> Result<Explored<Box<Candidate>, CapacityFailure>> {
         let evaluator = self.batch_evaluator();
+        let single = Parallelism::single();
+        let memory = self.memory_model(&single);
         self.with_cache(|cache| {
             let kernels = trainings
                 .iter()
@@ -810,11 +817,10 @@ impl<'a> SearchEngine<'a> {
             let mut space = TrainingSpace {
                 engine: self,
                 kernels,
-                trainings,
                 mappings,
                 cache,
+                memory,
                 plans: (0..trainings.len() * mappings.len()).map(|_| None).collect(),
-                variants: Vec::new(),
             };
             executor::explore(&mut space, trainings.len() * mappings.len(), self.prune)
         })
@@ -874,28 +880,23 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Evaluate one mapping: with tuning on, price its microbatch variants
-    /// in one kernel call and keep the fastest memory-feasible one
-    /// (fastest overall if nothing fits and the filter is off). When the
-    /// filter rejects every variant, report which capacity inequality
-    /// failed first, classified at the smallest microbatch — the mapping's
-    /// most feasible point. The sweep grid evaluates through this.
+    /// Evaluate one mapping under `kernel`'s training, sized by `memory`
+    /// re-pointed at it. The sweep grid evaluates through this.
     pub(crate) fn evaluate_mapping(
         &self,
+        kernel: &Prepared<'_>,
         cache: &mut EstimateCache,
+        memory: &MemoryModel<'_>,
         p: &Parallelism,
-        training: &TrainingConfig,
     ) -> Result<Scored> {
-        let mem_model = self.memory_model(p);
-        let solved = self.solve(&mem_model, p, training);
-        let mut variants = Vec::new();
-        self.push_variants(p, training, &solved, &mut variants);
-        let estimates = self.batch_evaluator().estimate_many(cache, &variants, training);
-        self.score_mapping(&mem_model, &solved, &variants, &estimates, training)
+        let mem_model = memory.for_mapping(p);
+        let solved = self.solve(&mem_model, p, kernel.training());
+        self.score(kernel, cache, &mem_model, &solved, p)
     }
 
-    /// This mapping's per-device memory model under the engine's
-    /// precision, optimizer, schedule and recompute policy.
+    /// This engine's memory model for `p`, under its precision, optimizer,
+    /// schedule and recompute policy. A pass builds one and re-points it
+    /// at each mapping ([`MemoryModel::for_mapping`]).
     fn memory_model<'m>(&'m self, p: &'m Parallelism) -> MemoryModel<'m> {
         MemoryModel::new(self.model, p)
             .with_precision(self.precision)
@@ -950,111 +951,72 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Append the microbatch variants of `p` worth pricing to `out`. The
-    /// tuning ladder is exactly the solver's (trial microbatch `2^k`), and
-    /// feasibility is a prefix of the ladder, so:
+    /// Score one mapping, the one scoring path of search and sweep: fold
+    /// its microbatch variants on `(fits, −time)` in the kernel
+    /// ([`Prepared::best_rung`]) and keep the fastest memory-feasible one
+    /// (fastest overall if nothing fits and the filter is off). When the
+    /// filter rejects every variant, report which capacity inequality
+    /// failed first, classified at the smallest microbatch — the mapping's
+    /// most feasible point.
+    ///
+    /// Memory feasibility comes from the closed-form max-microbatch solve
+    /// ([`SearchEngine::solve`]), one per mapping instead of one footprint
+    /// per variant. The tuning ladder is exactly the solver's (trial
+    /// microbatch `2^k`) and feasibility is a prefix of it, so:
     ///
     /// * when some rung fits, rungs past `ladder_index` can never win the
-    ///   `(fits, time)` fold — a fitting variant always beats a non-fitting
-    ///   one — and are not worth pricing;
-    /// * when nothing fits and the memory filter is on, the mapping will be
-    ///   rejected whatever the estimates say — one variant is still priced
-    ///   so engine-level validation errors propagate (estimate errors
-    ///   depend only on the mapping and engine configuration, never on the
-    ///   microbatch count).
-    fn push_variants(
+    ///   fold — a fitting variant always beats a non-fitting one — and are
+    ///   not offered;
+    /// * when nothing fits and the memory filter is on, the mapping is
+    ///   rejected whatever the estimates say; the kernel still validates
+    ///   it, so its errors propagate.
+    ///
+    /// The winner's stored footprint is computed once, at the end.
+    fn score(
         &self,
-        p: &Parallelism,
-        training: &TrainingConfig,
-        solved: &Option<SolveOutcome>,
-        out: &mut Vec<Parallelism>,
-    ) {
-        let rungs = match solved {
-            None => {
-                out.push(*p);
-                return;
-            }
-            Some(Ok(fit)) => fit.ladder_index as usize + 1,
-            Some(Err(_)) if self.require_memory_fit => 1,
-            Some(Err(_)) => usize::MAX,
-        };
-        out.extend(ladder(p, training).take(rungs));
-    }
-
-    /// Fold one mapping's already-priced microbatch variants into its
-    /// winning candidate on `(fits, −time)`. Memory feasibility comes from
-    /// the closed-form max-microbatch solve done by
-    /// [`SearchEngine::solve`] — one solve per mapping instead of
-    /// one footprint per variant (variant `k` of the tuning ladder fits iff
-    /// `k <= MicrobatchFit::ladder_index`, since feasibility is a prefix of
-    /// the ladder; the winner's stored footprint is computed once at the
-    /// end).
-    fn score_mapping(
-        &self,
+        kernel: &Prepared<'_>,
+        cache: &mut EstimateCache,
         mem_model: &MemoryModel<'_>,
         solved: &Option<SolveOutcome>,
-        variants: &[Parallelism],
-        estimates: &[Result<Estimate>],
-        training: &TrainingConfig,
+        p: &Parallelism,
     ) -> Result<Scored> {
-        let capacity = self.accel.memory_bytes();
-        // (index, fits, total_time) of the incumbent — estimates stay
-        // borrowed, only the winner is cloned at the end.
-        let mut best: Option<(usize, bool, f64)> = None;
-        let mut first_failure: Option<CapacityFailure> = None;
-        debug_assert_eq!(variants.len(), estimates.len());
-        for (k, priced) in estimates.iter().enumerate() {
-            let estimate = match priced {
-                Ok(e) => e,
-                Err(e) => return Err(e.clone()),
-            };
-            let fits_memory = match &solved {
-                Some(Ok(fit)) => k as u32 <= fit.ladder_index,
-                Some(Err(failure)) => {
-                    if first_failure.is_none() {
-                        first_failure = Some(*failure);
-                    }
-                    false
-                }
-                None => {
-                    let memory =
-                        mem_model.footprint(estimate.microbatch_size, estimate.num_microbatches);
-                    let fits = memory.total() <= capacity;
-                    if !fits && first_failure.is_none() {
-                        first_failure = Some(memory.capacity_failure(capacity));
-                    }
-                    fits
-                }
-            };
-            if self.require_memory_fit && !fits_memory {
-                continue;
+        let training = kernel.training();
+        let require_fit = self.require_memory_fit;
+        let best = match solved {
+            None => {
+                let batch = training.global_batch();
+                let fits = mem_model.fits(
+                    p.microbatch_size(batch),
+                    p.num_microbatches(batch),
+                    self.accel.memory_bytes(),
+                );
+                kernel.best_rung(cache, [(*p, fits)], require_fit)?
             }
-            let time = estimate.total_time.get();
-            let better = match &best {
-                None => true,
-                // Prefer fitting candidates, then faster ones.
-                Some((_, b_fits, b_time)) => {
-                    (fits_memory, std::cmp::Reverse(time))
-                        > (*b_fits, std::cmp::Reverse(*b_time))
-                }
-            };
-            if better {
-                best = Some((k, fits_memory, time));
+            Some(outcome) => {
+                let (rungs, fits) = match outcome {
+                    Ok(fit) => (fit.ladder_index as usize + 1, true),
+                    Err(_) if require_fit => (1, false),
+                    Err(_) => (usize::MAX, false),
+                };
+                let variants = ladder(p, training).take(rungs).map(|v| (v, fits));
+                kernel.best_rung(cache, variants, require_fit)?
             }
-        }
-        let Some((k, fits_memory, _)) = best else {
-            return Ok(Err(first_failure
-                .expect("a mapping with no retained variant had a rejected one")));
         };
-        let estimate = estimates[k]
-            .as_ref()
-            .expect("the retained winner priced cleanly")
-            .clone();
-        let variant = variants[k];
+        let Some(BestRung {
+            parallelism,
+            fits_memory,
+            estimate,
+            ..
+        }) = best
+        else {
+            return Ok(Err(self
+                .memory_rejection(mem_model, solved, p, training)
+                .expect("a mapping with no retained variant failed the memory filter")));
+        };
         let memory = mem_model.footprint(estimate.microbatch_size, estimate.num_microbatches);
         let energy = EnergyEstimate::from_estimate(&estimate, &self.power, training.num_batches());
         let mut candidate = Candidate {
-            parallelism: variant,
+            parallelism,
             estimate,
             memory,
             energy,
@@ -1159,7 +1121,7 @@ impl<'a> SearchEngine<'a> {
                 .then(batch_of(*i).cmp(&batch_of(*j)))
                 .then_with(|| parallelism_key(&a.parallelism).cmp(&parallelism_key(&b.parallelism)))
         });
-        Ok(best.map(|(i, c)| (batches[batch_of(i)], c)))
+        Ok(best.map(|(i, c)| (batches[batch_of(i)], *c)))
     }
 }
 
@@ -1169,14 +1131,13 @@ struct TrainingSpace<'s, 'a> {
     engine: &'s SearchEngine<'a>,
     /// One prepared kernel pass per training.
     kernels: Vec<Prepared<'s>>,
-    trainings: &'s [TrainingConfig],
     mappings: &'s [Parallelism],
     cache: &'s mut EstimateCache,
+    /// The pass's memory model, re-pointed at each mapping.
+    memory: MemoryModel<'s>,
     /// Each screened candidate's memory model and solve, taken by its
     /// evaluation.
     plans: Vec<Option<(MemoryModel<'s>, Option<SolveOutcome>)>>,
-    /// The variant buffer, reused by every evaluation.
-    variants: Vec<Parallelism>,
 }
 
 impl<'s> TrainingSpace<'s, '_> {
@@ -1188,20 +1149,21 @@ impl<'s> TrainingSpace<'s, '_> {
 }
 
 impl Space for TrainingSpace<'_, '_> {
-    type Candidate = Candidate;
+    type Candidate = Box<Candidate>;
     type Rejection = CapacityFailure;
 
     fn screen(&mut self, index: usize) -> Result<Screened<CapacityFailure>> {
         let (t, p) = self.locate(index);
-        let (engine, training) = (self.engine, &self.trainings[t]);
-        let mem_model = engine.memory_model(p);
+        let (engine, kernel) = (self.engine, &self.kernels[t]);
+        let training = kernel.training();
+        let mem_model = self.memory.for_mapping(p);
         let solved = engine.solve(&mem_model, p, training);
         if let Some(failure) = engine.memory_rejection(&mem_model, &solved, p, training) {
             return Ok(Screened::Rejected(failure));
         }
         let bound = if engine.prune {
             let _span = engine.observer.as_ref().map(|o| o.span("prune"));
-            engine.candidate_lower_bound(&self.kernels[t], self.cache, p, training)?
+            engine.candidate_lower_bound(kernel, self.cache, p, training)?
         } else {
             f64::NEG_INFINITY
         };
@@ -1209,22 +1171,19 @@ impl Space for TrainingSpace<'_, '_> {
         Ok(Screened::Bounded(bound))
     }
 
-    fn evaluate(&mut self, index: usize) -> Result<Candidate> {
+    fn evaluate(&mut self, index: usize) -> Result<Box<Candidate>> {
         let _span = self.engine.observer.as_ref().map(|o| o.span("evaluate"));
         let (t, p) = self.locate(index);
-        let (engine, training) = (self.engine, &self.trainings[t]);
         let (mem_model, solved) = self.plans[index]
             .take()
             .expect("only screened candidates are evaluated");
-        self.variants.clear();
-        engine.push_variants(p, training, &solved, &mut self.variants);
-        let estimates = self.kernels[t].estimate_many(self.cache, &self.variants);
-        let scored =
-            engine.score_mapping(&mem_model, &solved, &self.variants, &estimates, training)?;
-        Ok(*scored.expect("screening rejects every mapping the memory filter drops"))
+        let scored = self
+            .engine
+            .score(&self.kernels[t], self.cache, &mem_model, &solved, p)?;
+        Ok(scored.expect("screening rejects every mapping the memory filter drops"))
     }
 
-    fn objective(candidate: &Candidate) -> f64 {
+    fn objective(candidate: &Box<Candidate>) -> f64 {
         candidate.objective_time()
     }
 }
@@ -1268,6 +1227,7 @@ pub fn pareto_front(candidates: &[Candidate]) -> Vec<usize> {
 mod tests {
     use super::*;
     use amped_core::{Estimator, Link};
+    use proptest::prelude::*;
 
     fn system(nodes: usize, per_node: usize) -> SystemSpec {
         SystemSpec::new(
@@ -1970,6 +1930,129 @@ mod tests {
         assert_identical_candidates(&reference, &cold);
         let warm = pooled.search(&training).unwrap();
         assert_identical_candidates(&reference, &warm);
+    }
+
+    /// Every number an [`Estimate`] carries, as bits.
+    fn estimate_bits(e: &Estimate) -> Vec<u64> {
+        let mut bits: Vec<u64> =
+            e.breakdown.components().iter().map(|(_, x)| x.to_bits()).collect();
+        bits.extend(
+            [
+                e.time_per_iteration.get(),
+                e.total_time.get(),
+                e.microbatch_size,
+                e.efficiency,
+                e.model_flops_per_iteration,
+                e.tflops_per_gpu,
+                e.tokens_per_sec,
+            ]
+            .map(f64::to_bits),
+        );
+        bits.extend([e.num_microbatches as u64, e.total_workers as u64]);
+        bits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The kernel's ladder fold against the path it replaced: price
+        /// every rung with `estimate_many`, size it with its own footprint,
+        /// and fold on `(fits, −time)`, first rung winning ties. Winner,
+        /// fit and estimate agree bit for bit; an invalid mapping fails
+        /// with the same error either way.
+        #[test]
+        fn ladder_fold_matches_estimate_many_and_the_fold(
+            preset in 0usize..amped_configs::registry::model_names().len(),
+            (nodes_exp, per_node_exp, batch_exp) in (0u32..4, 0u32..4, 4u32..12),
+            (recompute, memory_filter, tune) in (0u8..2, 0u8..2, 0u8..2),
+        ) {
+            use amped_configs::{accelerators, efficiency, registry, systems};
+            let name = registry::model_names()[preset];
+            let model = registry::model(name).expect("listed preset resolves");
+            let a100 = accelerators::a100();
+            let system = systems::a100_hdr_cluster(1 << nodes_exp, 1 << per_node_exp);
+            let training = TrainingConfig::new(1 << batch_exp, 10).expect("valid");
+            let engine = SearchEngine::new(&model, &a100, &system)
+                .with_efficiency(efficiency::case_study())
+                .with_engine_options(EngineOptions {
+                    activation_recompute: recompute == 1,
+                    stage_imbalance_correction: true,
+                    ..Default::default()
+                })
+                .with_memory_filter(memory_filter == 1)
+                .with_microbatch_tuning(tune == 1);
+            let require_fit = engine.require_memory_fit;
+            let capacity = a100.memory_bytes();
+            let evaluator = engine.batch_evaluator();
+            let mut cache = EstimateCache::new();
+            let kernel = evaluator.prepare(&mut cache, &training).expect("valid shared inputs");
+            let mappings = enumerate_mappings(&system, &model, &engine.enumeration);
+            for p in &mappings {
+                let variants: Vec<Parallelism> = if engine.tune_microbatches {
+                    ladder(p, &training).collect()
+                } else {
+                    vec![*p]
+                };
+                let estimates = kernel.estimate_many(&mut cache, &variants);
+                let mut want: Option<(usize, bool, &Estimate)> = None;
+                let mut flags = Vec::with_capacity(variants.len());
+                for (k, (v, priced)) in variants.iter().zip(&estimates).enumerate() {
+                    let estimate = priced.as_ref().expect("enumerated mappings are valid");
+                    let fits = engine
+                        .memory_model(v)
+                        .footprint(estimate.microbatch_size, estimate.num_microbatches)
+                        .total()
+                        <= capacity;
+                    flags.push(fits);
+                    if require_fit && !fits {
+                        continue;
+                    }
+                    let time = estimate.total_time.get();
+                    if want.is_none_or(|(_, b_fits, b)| {
+                        (fits, std::cmp::Reverse(time))
+                            > (b_fits, std::cmp::Reverse(b.total_time.get()))
+                    }) {
+                        want = Some((k, fits, estimate));
+                    }
+                }
+                let rungs = variants.iter().copied().zip(flags.iter().copied());
+                let got = kernel.best_rung(&mut cache, rungs, require_fit).expect("valid mapping");
+                match (want, got) {
+                    (None, None) => {}
+                    (Some((index, fits, estimate)), Some(best)) => {
+                        prop_assert_eq!(best.index, index, "{}: {:?}", name, p);
+                        prop_assert_eq!(best.fits_memory, fits);
+                        prop_assert_eq!(
+                            parallelism_key(&best.parallelism),
+                            parallelism_key(&variants[index])
+                        );
+                        prop_assert_eq!(
+                            best.parallelism.microbatch_policy(),
+                            variants[index].microbatch_policy()
+                        );
+                        prop_assert_eq!(estimate_bits(&best.estimate), estimate_bits(estimate));
+                    }
+                    (want, got) => prop_assert!(
+                        false,
+                        "{name}: {p:?}: fold kept {:?}, kernel kept {:?}",
+                        want.map(|w| w.0),
+                        got.map(|g| g.index)
+                    ),
+                }
+            }
+            // An invalid mapping: the same error from both paths, even when
+            // every rung would be skipped unpriced.
+            let bad = Parallelism::builder()
+                .tp(system.accels_per_node(), 1)
+                .dp(1, system.num_nodes() + 1)
+                .build()
+                .expect("well-formed degrees");
+            let old = kernel.estimate_many(&mut cache, &[bad]).remove(0).unwrap_err();
+            for fits in [true, false] {
+                let new = kernel.best_rung(&mut cache, [(bad, fits)], true).unwrap_err();
+                prop_assert_eq!(new.to_string(), old.to_string());
+            }
+        }
     }
 
     #[test]

@@ -328,7 +328,10 @@ impl<'a> SearchEngine<'a> {
         training: &TrainingConfig,
     ) -> Result<Candidate> {
         let mut cache = amped_core::EstimateCache::new();
-        filtered_out(self.evaluate_mapping(&mut cache, mapping, training)?)
+        let evaluator = self.batch_evaluator();
+        let kernel = evaluator.prepare(&mut cache, training)?;
+        let memory = self.memory_model(mapping);
+        filtered_out(self.evaluate_mapping(&kernel, &mut cache, &memory, mapping)?)
     }
 
     /// Evaluate a mappings × trainings grid against one memoization cache,
@@ -339,11 +342,20 @@ impl<'a> SearchEngine<'a> {
         mappings: &[(String, Parallelism)],
         trainings: &[TrainingConfig],
     ) -> Result<Vec<Candidate>> {
+        if mappings.is_empty() {
+            return Ok(Vec::new());
+        }
+        let evaluator = self.batch_evaluator();
+        let memory = self.memory_model(&mappings[0].1);
         self.with_cache(|cache| {
+            let kernels = trainings
+                .iter()
+                .map(|t| evaluator.prepare(cache, t))
+                .collect::<Result<Vec<_>>>()?;
             let mut out = Vec::with_capacity(mappings.len() * trainings.len());
             for (_, p) in mappings {
-                for training in trainings {
-                    out.push(filtered_out(self.evaluate_mapping(cache, p, training)?)?);
+                for kernel in &kernels {
+                    out.push(filtered_out(self.evaluate_mapping(kernel, cache, &memory, p)?)?);
                 }
             }
             Ok(out)

@@ -68,6 +68,25 @@ assert pruned["memory_rejected"] == full["memory_rejected"], "pruning changed th
 EOF
 echo "search smoke ok: pruned output reproducible, winner and rejections kept"
 
+echo "==> ranking identity (bench_layers search workloads: output checks and digests)"
+# Both search workloads hash the ranked rows of every seeded input they
+# reach; a change that moves any ranking, stat or artifact byte moves the
+# digest. Three seconds reach all 1008 / 1680 inputs on a 2-vCPU host.
+for pair in search-train:25c9cf9e307982e3/1008 search-serving:f5c7f5d117c89c21/1680; do
+    workload=${pair%%:*}
+    want=${pair#*:}
+    cargo run --offline --release --quiet --manifest-path bench_layers/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 > "$obs_dir/bench-$workload.txt" \
+        || { echo "ranking identity failed: $workload output checks failed"; \
+             tail -5 "$obs_dir/bench-$workload.txt"; exit 1; }
+    tail -1 "$obs_dir/bench-$workload.txt" | grep -q '"correct":true' \
+        || { echo "ranking identity failed: $workload is not correct"; exit 1; }
+    got=$(sed -n "s/^$workload outputs_digest \([^ ]*\) .*/\1/p" "$obs_dir/bench-$workload.txt")
+    [ "$got" = "$want" ] \
+        || { echo "ranking identity failed: $workload digest $got, want $want"; exit 1; }
+    echo "ranking identity ok: $workload $got"
+done
+
 echo "==> serve smoke (daemon on an ephemeral port, one request per endpoint)"
 # Start the daemon on port 0, parse the listening line for the real port,
 # drive every endpoint through the raw-socket example client (no curl),

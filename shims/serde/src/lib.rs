@@ -205,6 +205,12 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Convert `self` into the dynamic value model.
     fn to_value(&self) -> Value;
+
+    /// `self` in the dynamic value model, borrowed when `self` already is
+    /// a [`Value`] — what a renderer reads without copying the document.
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        std::borrow::Cow::Owned(self.to_value())
+    }
 }
 
 /// `&Value -> T` half of the facade.
@@ -217,11 +223,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> std::borrow::Cow<'_, Value> {
+        std::borrow::Cow::Borrowed(self)
     }
 }
 

@@ -17,17 +17,18 @@ pub fn from_value<T: serde::Deserialize>(value: Value) -> Result<T, Error> {
     T::from_value(&value)
 }
 
-/// Render compact JSON.
+/// Render compact JSON. A [`Value`] is rendered in place, not copied.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    write_value(&value.as_value(), &mut out, None, 0);
     Ok(out)
 }
 
-/// Render human-readable JSON (two-space indent).
+/// Render human-readable JSON (two-space indent). A [`Value`] is rendered
+/// in place, not copied.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.as_value(), &mut out, Some(2), 0);
     Ok(out)
 }
 
@@ -44,12 +45,21 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 // ---------------------------------------------------------------- writer
+//
+// Every writer appends to `out` in place: numbers are formatted through
+// `fmt::Write` and indentation is pushed a space at a time, so rendering a
+// document allocates nothing but `out`'s own growth. Writing to a `String`
+// cannot fail, so the `fmt::Result`s are discarded.
+
+use std::fmt::Write as _;
 
 fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => write_seq(out, indent, level, items.len(), '[', ']', |out, i| {
@@ -86,16 +96,20 @@ fn write_seq(
             out.push(',');
         }
         if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (level + 1)));
+            write_indent(out, w * (level + 1));
         }
         item(out, i);
     }
     if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * level));
+        write_indent(out, w * level);
     }
     out.push(close);
+}
+
+/// A newline, then `width` spaces.
+fn write_indent(out: &mut String, width: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', width));
 }
 
 fn write_float(f: f64, out: &mut String) {
@@ -106,10 +120,10 @@ fn write_float(f: f64, out: &mut String) {
     } else if f == f.trunc() && f.abs() < 1e15 {
         // Keep a fractional marker so the value re-parses as a float-typed
         // number rather than an integer (mirrors serde_json's "1.0").
-        out.push_str(&format!("{f:.1}"));
+        let _ = write!(out, "{f:.1}");
     } else {
         // Rust's shortest-roundtrip Display preserves the exact bits.
-        out.push_str(&f.to_string());
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -122,7 +136,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -477,6 +493,25 @@ mod tests {
         assert!(s.contains('\n'));
         let back: Value = from_str(&s).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let v = json!({
+            "a": [1, -2, 1.0, 0.1, 1e15, "t\u{1}\n"],
+            "b": {},
+            "c": [[], {"d": null}],
+        });
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"{"a":[1,-2,1.0,0.1,1000000000000000,"t\u0001\n"],"b":{},"c":[[],{"d":null}]}"#
+        );
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1,\n    -2,\n    1.0,\n    0.1,\n    1000000000000000,\n    \
+             \"t\\u0001\\n\"\n  ],\n  \"b\": {},\n  \"c\": [\n    [],\n    {\n      \
+             \"d\": null\n    }\n  ]\n}"
+        );
     }
 
     #[test]
