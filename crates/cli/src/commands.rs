@@ -100,9 +100,10 @@ observability flags (estimate/sweep/search/simulate/resilience):
                               search counters, cache hit rates, DES internals,
                               per-device busy fractions
   --trace-out FILE            write Chrome-trace JSON (load in Perfetto):
-                              search spans per worker thread; on simulate, the
-                              device timeline (pid = pipeline stage,
-                              tid = device, checkpoint/recompute categories)
+                              search phase spans on the calling thread's
+                              track; on simulate, the device timeline
+                              (pid = pipeline stage, tid = device,
+                              checkpoint/recompute categories)
   -v                          append a human-readable metrics summary
                               (instrumentation is off unless one of these is
                               given, and never changes any result)

@@ -46,7 +46,7 @@ use crate::engine::{
 };
 use crate::error::Result;
 use crate::metrics;
-use crate::model::{LayerKind, TransformerModel};
+use crate::model::{even_split, LayerKind, TransformerModel};
 use crate::network::SystemSpec;
 use crate::parallelism::{MicrobatchPolicy, Parallelism, ZeroStage};
 use crate::precision::Precision;
@@ -602,17 +602,10 @@ impl Prepared<'_> {
     /// prune candidates against an incumbent best time without ever
     /// discarding the true optimum.
     ///
-    /// The bound reads no memoized sub-result; `_cache` is the pass's cache,
-    /// taken like every other per-candidate call of a pass.
-    ///
     /// # Errors
     ///
     /// Returns the first variant that does not fit the system/model.
-    pub fn lower_bound(
-        &self,
-        _cache: &mut EstimateCache,
-        variants: impl IntoIterator<Item = Parallelism>,
-    ) -> Result<f64> {
+    pub fn lower_bound(&self, variants: impl IntoIterator<Item = Parallelism>) -> Result<f64> {
         let eval = self.eval;
         let global_batch = self.training.global_batch();
         let num_batches = self.training.num_batches() as f64;
@@ -795,15 +788,10 @@ impl Prepared<'_> {
                     + c.nonlin_fwd * self.c_nonlin * self.nonlin_scale
             })
             .collect();
-        let (base, extra) = (stack.len() / pp, stack.len() % pp);
-        let mut cursor = 0;
         let mut max_stage = 0.0f64;
         let total: f64 = weights.iter().sum();
-        for s in 0..pp {
-            let take = base + usize::from(s < extra);
-            let stage: f64 = weights[cursor..cursor + take].iter().sum();
-            max_stage = max_stage.max(stage);
-            cursor += take;
+        for stage in even_split(stack.len(), pp) {
+            max_stage = max_stage.max(weights[stage].iter().sum());
         }
         let r = if total > 0.0 {
             (max_stage * pp as f64 / total).max(1.0)
@@ -1168,7 +1156,7 @@ mod tests {
         p: &Parallelism,
         training: &TrainingConfig,
     ) -> Result<f64> {
-        batch.prepare(cache, training)?.lower_bound(cache, [*p])
+        batch.prepare(cache, training)?.lower_bound([*p])
     }
 
     #[test]
@@ -1240,13 +1228,13 @@ mod tests {
             .collect();
         let mut cache = EstimateCache::new();
         let kernel = batch.prepare(&mut cache, &training).unwrap();
-        let together = kernel.lower_bound(&mut cache, ladder.iter().copied()).unwrap();
+        let together = kernel.lower_bound(ladder.iter().copied()).unwrap();
         let alone = ladder
             .iter()
             .map(|v| lower_bound(&batch, &mut EstimateCache::new(), v, &training).unwrap())
             .fold(f64::INFINITY, f64::min);
         assert_eq!(together.to_bits(), alone.to_bits());
-        assert_eq!(kernel.lower_bound(&mut cache, []).unwrap(), f64::INFINITY);
+        assert_eq!(kernel.lower_bound([]).unwrap(), f64::INFINITY);
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub use engine::{
 };
 pub use error::{Error, Result};
 pub use inference::InferenceConfig;
-pub use model::{LayerKind, MoeConfig, TransformerModel, TransformerModelBuilder};
+pub use model::{even_split, LayerKind, MoeConfig, TransformerModel, TransformerModelBuilder};
 pub use network::{Link, SystemSpec};
 pub use parallelism::{MicrobatchPolicy, Parallelism, ParallelismBuilder, ZeroConfig, ZeroStage};
 pub use precision::Precision;

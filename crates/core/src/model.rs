@@ -4,6 +4,8 @@
 //! sequence length, vocabulary, feed-forward expansion and the optional
 //! mixture-of-experts configuration.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
@@ -179,7 +181,8 @@ impl TransformerModel {
         }
     }
 
-    /// The stack of layers as layer kinds, head last.
+    /// The stack of layers as layer kinds, head last. Pipeline stages own
+    /// contiguous runs of it, cut by [`even_split`].
     pub fn layer_stack(&self) -> Vec<LayerKind> {
         let mut stack: Vec<LayerKind> = (0..self.num_layers)
             .map(|i| {
@@ -268,6 +271,23 @@ impl TransformerModel {
                 0.0
             }
     }
+}
+
+/// The even contiguous split of `0..len` into `parts` ranges, in order:
+/// sizes differ by at most one, and the first `len % parts` parts are the
+/// larger ones. This is the pipeline-stage split of
+/// [`TransformerModel::layer_stack`] that Eq. 8's imbalance ratio, the
+/// memory model's per-stage footprints and the simulator's chunks share.
+///
+/// # Panics
+///
+/// Panics if `parts` is zero.
+pub fn even_split(len: usize, parts: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    let (base, extra) = (len / parts, len % parts);
+    (0..parts).map(move |s| {
+        let start = s * base + s.min(extra);
+        start..start + base + usize::from(s < extra)
+    })
 }
 
 /// Builder for [`TransformerModel`]; see the type-level example.
@@ -369,6 +389,27 @@ mod tests {
             .vocab_size(51200)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn even_split_tiles_in_order_with_the_larger_parts_first() {
+        for len in 0..40 {
+            for parts in 1..12 {
+                let ranges: Vec<_> = even_split(len, parts).collect();
+                assert_eq!(ranges.len(), parts);
+                let mut cursor = 0;
+                for (i, r) in ranges.iter().enumerate() {
+                    assert_eq!(r.start, cursor, "len {len} parts {parts}: gap before part {i}");
+                    let want = len / parts + usize::from(i < len % parts);
+                    assert_eq!(r.len(), want, "len {len} parts {parts}: part {i}");
+                    cursor = r.end;
+                }
+                assert_eq!(cursor, len, "len {len} parts {parts}: parts must cover 0..len");
+                let (min, max) = (len / parts, len.div_ceil(parts));
+                assert!(ranges.iter().all(|r| (min..=max).contains(&r.len())));
+            }
+        }
+        assert_eq!(even_split(9, 4).collect::<Vec<_>>(), [0..3, 3..5, 5..7, 7..9]);
     }
 
     #[test]

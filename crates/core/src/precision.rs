@@ -54,12 +54,6 @@ impl Precision {
         Self::uniform(16)
     }
 
-    /// bfloat16 everywhere. Identical widths to [`Precision::fp16`]; kept as
-    /// a separate constructor for self-documenting configs.
-    pub fn bf16() -> Self {
-        Self::uniform(16)
-    }
-
     /// 8-bit everywhere (case study III assumes 8-bit training).
     pub fn int8() -> Self {
         Self::uniform(8)

@@ -38,7 +38,7 @@ mod kv;
 
 pub use kv::{KvCacheModel, KvCapacityFailure, KvFootprint, ServeBatchFit};
 
-use amped_core::{Parallelism, Precision, Scenario, TransformerModel, ZeroStage};
+use amped_core::{even_split, Parallelism, Precision, Scenario, TransformerModel, ZeroStage};
 use serde::{Deserialize, Serialize};
 
 /// Mixed-precision Adam's state per parameter: fp32 master weights and
@@ -420,14 +420,11 @@ impl<'a> MemoryModel<'a> {
         let p = self.parallelism;
         let pp = p.pp();
         let stack_len = self.model.layer_stack().len();
-        let base = stack_len / pp;
-        let extra = stack_len % pp;
         let uniform = self.footprint(ub, num_microbatches);
         let mean_layers = stack_len as f64 / pp as f64;
         let mut out = Vec::with_capacity(pp);
-        for s in 0..pp {
-            let layers = (base + usize::from(s < extra)) as f64;
-            let scale = layers / mean_layers;
+        for (s, layers) in even_split(stack_len, pp).enumerate() {
+            let scale = layers.len() as f64 / mean_layers;
             let mut fp = MemoryFootprint {
                 weights: uniform.weights * scale,
                 gradients: uniform.gradients * scale,

@@ -11,8 +11,9 @@
 ///
 /// Timestamps and durations are microseconds, as the format requires.
 /// `pid`/`tid` select the Perfetto track: the simulator maps pipeline
-/// stages to `pid` and devices to `tid`; the search maps worker threads
-/// to `tid` under a single `pid`.
+/// stages to `pid` and devices to `tid`; observer spans map the thread
+/// that recorded them to `tid` under a single `pid` (a search runs on its
+/// caller's thread, so its spans share one track).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event label shown on the slice.

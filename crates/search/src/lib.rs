@@ -508,12 +508,6 @@ impl<'a> SearchEngine<'a> {
         self
     }
 
-    /// Override the power model.
-    pub fn with_power(mut self, power: PowerModel) -> Self {
-        self.power = power;
-        self
-    }
-
     /// Override the optimizer used for memory accounting.
     pub fn with_optimizer(mut self, optimizer: OptimizerSpec) -> Self {
         self.optimizer = optimizer;
@@ -869,14 +863,13 @@ impl<'a> SearchEngine<'a> {
     fn candidate_lower_bound(
         &self,
         kernel: &Prepared<'_>,
-        cache: &mut EstimateCache,
         p: &Parallelism,
         training: &TrainingConfig,
     ) -> Result<f64> {
         if self.tune_microbatches {
-            kernel.lower_bound(cache, ladder(p, training))
+            kernel.lower_bound(ladder(p, training))
         } else {
-            kernel.lower_bound(cache, [*p])
+            kernel.lower_bound([*p])
         }
     }
 
@@ -1163,7 +1156,7 @@ impl Space for TrainingSpace<'_, '_> {
         }
         let bound = if engine.prune {
             let _span = engine.observer.as_ref().map(|o| o.span("prune"));
-            engine.candidate_lower_bound(kernel, self.cache, p, training)?
+            engine.candidate_lower_bound(kernel, p, training)?
         } else {
             f64::NEG_INFINITY
         };
@@ -1833,7 +1826,7 @@ mod tests {
             .into_iter()
             .filter(|c| {
                 let p = &c.parallelism;
-                engine.candidate_lower_bound(&kernel, &mut cache, p, training).unwrap() <= best
+                engine.candidate_lower_bound(&kernel, p, training).unwrap() <= best
             })
             .collect()
     }

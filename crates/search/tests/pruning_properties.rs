@@ -76,7 +76,7 @@ proptest! {
             .with_options(options);
         let kernel = evaluator.prepare(&mut cache, &training).expect("valid shared inputs");
         for p in &mappings {
-            let Ok(lb) = kernel.lower_bound(&mut cache, [*p]) else { continue };
+            let Ok(lb) = kernel.lower_bound([*p]) else { continue };
             let cached = kernel
                 .estimate_many(&mut cache, std::slice::from_ref(p))
                 .remove(0)

@@ -1,6 +1,6 @@
-//! The load-test driver behind `amped loadtest` and the `bench_serve`
-//! benchmark binary: replay N concurrent clients of mixed traffic against
-//! a live server and measure what the service actually delivers.
+//! The load-test driver behind `amped loadtest`: replay N concurrent
+//! clients of mixed traffic against a live server and measure what the
+//! service actually delivers.
 //!
 //! Each client keeps one HTTP/1.1 connection open and cycles through the
 //! compute endpoints on it (estimate, search, sweep, resilience — offset

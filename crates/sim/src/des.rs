@@ -79,7 +79,6 @@ pub struct SimOutcome {
 #[derive(Debug, Clone)]
 pub struct Simulator {
     network: NetworkParams,
-    record_timeline: bool,
     faults: Option<FaultSchedule>,
     observer: Option<Arc<Observer>>,
 }
@@ -147,16 +146,9 @@ impl Simulator {
         );
         Simulator {
             network,
-            record_timeline: true,
             faults: None,
             observer: None,
         }
-    }
-
-    /// Disable timeline recording (saves memory on very large graphs).
-    pub fn without_timeline(mut self) -> Self {
-        self.record_timeline = false;
-        self
     }
 
     /// Record engine internals — events processed, peak event-queue depth
@@ -253,24 +245,20 @@ impl Simulator {
                         match t.kind {
                             TaskKind::Compute { device, .. } => {
                                 stats[device].compute_busy_s += dur;
-                                if self.record_timeline {
-                                    // Checkpoint drains occupy the compute
-                                    // unit but are storage writes, not
-                                    // training math — give them their own
-                                    // timeline/trace category.
-                                    let activity = if t.label == "ckpt" {
-                                        Activity::Checkpoint
-                                    } else {
-                                        Activity::Compute
-                                    };
-                                    timeline.push(device, activity, now, now + dur, t.label);
-                                }
+                                // Checkpoint drains occupy the compute unit
+                                // but are storage writes, not training math
+                                // — give them their own timeline/trace
+                                // category.
+                                let activity = if t.label == "ckpt" {
+                                    Activity::Checkpoint
+                                } else {
+                                    Activity::Compute
+                                };
+                                timeline.push(device, activity, now, now + dur, t.label);
                             }
                             TaskKind::Transfer { src, .. } => {
                                 stats[src].comm_busy_s += dur;
-                                if self.record_timeline {
-                                    timeline.push(src, Activity::Comm, now, now + dur, t.label);
-                                }
+                                timeline.push(src, Activity::Comm, now, now + dur, t.label);
                             }
                         }
                     }

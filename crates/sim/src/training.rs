@@ -1,19 +1,20 @@
 //! Building and running full training-iteration task graphs.
 //!
 //! [`SimConfig`] lowers one optimizer step of distributed transformer
-//! training — microbatched pipeline (GPipe or 1F1B) over `N_PP` stages,
-//! replicated `N_DP` ways, with ring gradient all-reduce and weight update —
-//! into a [`TaskGraph`] and executes it.
+//! training — microbatched pipeline (GPipe, 1F1B or interleaved) over
+//! `N_PP` stages, replicated `N_DP` ways, with ring gradient all-reduce and
+//! weight update — into one [`TaskGraph`] and executes it.
 
 use amped_core::counts::LayerCounts;
 use amped_core::{
-    AcceleratorSpec, EfficiencyModel, EngineOptions, Error, LayerKind, Parallelism, Precision,
-    Result, Scenario, SystemSpec, TransformerModel,
+    even_split, AcceleratorSpec, EfficiencyModel, EngineOptions, Error, LayerKind, Parallelism,
+    Precision, Result, Scenario, SystemSpec, TransformerModel,
 };
 use amped_memory::MemoryModel;
 use amped_obs::{DeviceUtil, Observer};
 use amped_topo::Collective;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::des::{DeviceStats, NetworkParams, Simulator};
@@ -40,6 +41,19 @@ pub enum PipelineSchedule {
         /// Model chunks per device (`v ≥ 1`; `1` degenerates to GPipe).
         virtual_stages: usize,
     },
+}
+
+impl PipelineSchedule {
+    /// Model chunks each pipeline device holds: `virtual_stages` for an
+    /// interleaved schedule with more than one, else 1.
+    fn chunks_per_device(self) -> usize {
+        match self {
+            PipelineSchedule::Interleaved { virtual_stages } if virtual_stages > 1 => {
+                virtual_stages
+            }
+            _ => 1,
+        }
+    }
 }
 
 
@@ -157,7 +171,6 @@ pub struct SimConfig<'a> {
     options: EngineOptions,
     schedule: PipelineSchedule,
     grad_sync: bool,
-    weight_update: bool,
     faults: Option<FaultSchedule>,
     ckpt_stage_s: Option<Vec<f64>>,
     observer: Option<Arc<Observer>>,
@@ -183,7 +196,6 @@ impl<'a> SimConfig<'a> {
             options: EngineOptions::default(),
             schedule: PipelineSchedule::default(),
             grad_sync: true,
-            weight_update: true,
             faults: None,
             ckpt_stage_s: None,
             observer: None,
@@ -253,12 +265,6 @@ impl<'a> SimConfig<'a> {
         self
     }
 
-    /// Include the weight-update compute (default true).
-    pub fn with_weight_update(mut self, yes: bool) -> Self {
-        self.weight_update = yes;
-        self
-    }
-
     /// Execute under a resolved fault schedule: straggler devices stretch
     /// their compute tasks and degraded links stretch transfers inside
     /// their windows. Without this call the executor never consults fault
@@ -312,12 +318,7 @@ impl<'a> SimConfig<'a> {
             return Err(Error::invalid("simulation", "batch must be positive"));
         }
 
-        let graph = match self.schedule {
-            PipelineSchedule::Interleaved { virtual_stages } if virtual_stages > 1 => {
-                self.build_interleaved_graph(global_batch, virtual_stages)?
-            }
-            _ => self.build_graph(global_batch)?,
-        };
+        let graph = self.build_graph(global_batch)?;
         let network = NetworkParams {
             intra_latency_s: self.system.intra().latency_s,
             intra_bw_bps: self.system.intra().bandwidth_bits_per_sec,
@@ -721,26 +722,9 @@ impl<'a> SimConfig<'a> {
         }
     }
 
-    /// Layer kinds assigned to each pipeline stage: a contiguous split as
-    /// balanced as possible (stage sizes differ by at most one layer), head
-    /// on the last stage.
-    fn stage_layers(&self) -> Vec<Vec<LayerKind>> {
-        let pp = self.parallelism.pp();
-        let stack = self.model.layer_stack();
-        let base = stack.len() / pp;
-        let extra = stack.len() % pp;
-        let mut stages = Vec::with_capacity(pp);
-        let mut cursor = 0;
-        for s in 0..pp {
-            let take = base + usize::from(s < extra);
-            stages.push(stack[cursor..cursor + take].to_vec());
-            cursor += take;
-        }
-        stages
-    }
-
-    /// Forward/backward compute seconds of one microbatch on one stage,
-    /// including the analytically folded TP all-reduce time.
+    /// Forward, backward and weight-update seconds of one microbatch on one
+    /// chunk of layers, including the analytically folded TP all-reduce
+    /// time.
     fn stage_durations(&self, layers: &[LayerKind], ub: f64) -> (f64, f64, f64) {
         let p = self.parallelism;
         let eff = self.efficiency.eval(ub);
@@ -830,319 +814,144 @@ impl<'a> SimConfig<'a> {
         (fwd, bwd, wu)
     }
 
+    /// Build the iteration's task graph. The layer stack is cut into
+    /// `pp × v` contiguous chunks by [`even_split`], `v` being the
+    /// schedule's chunks per device; chunk `c` runs on stage `c % pp`, so
+    /// each microbatch loops through the stages `v` times (`v = 1` is the
+    /// plain stage split). Each replica runs every microbatch forward
+    /// through the chunks, then backward in reverse, in the order the
+    /// schedule's priorities pick; then each stage synchronizes gradients
+    /// over its DP group, updates its weights and, when configured, writes
+    /// its checkpoint.
     fn build_graph(&self, global_batch: usize) -> Result<TaskGraph> {
         let p = self.parallelism;
-        let dp = p.dp();
-        let pp = p.pp();
+        let (dp, pp) = (p.dp(), p.pp());
         let n_ub = p.num_microbatches(global_batch);
         let ub = p.microbatch_size(global_batch);
+        let chunks = pp * self.schedule.chunks_per_device();
         let mut graph = TaskGraph::new(dp * pp);
 
-        let stages = self.stage_layers();
-        let durations: Vec<(f64, f64, f64)> =
-            stages.iter().map(|ls| self.stage_durations(ls, ub)).collect();
-        let act_bytes = ub
-            * self.model.seq_len() as f64
-            * self.model.hidden_size() as f64
-            * self.precision.act_bits as f64
-            / 8.0
-            / p.tp() as f64;
-
-        // Per-device priority counters implementing the chosen schedule.
-        let priorities = self.schedule_priorities(pp, n_ub);
-
-        let mut last_bwd: Vec<Vec<TaskId>> = vec![Vec::new(); dp * pp];
-        for dp_rank in 0..dp {
-            // fwd_done[m][s], bwd_done[m][s]
-            let mut fwd_done = vec![vec![0usize; pp]; n_ub];
-            let mut fwd_xfer = vec![vec![None::<TaskId>; pp]; n_ub];
-            for m in 0..n_ub {
-                for s in 0..pp {
-                    let mut deps: Vec<TaskId> = Vec::new();
-                    if s > 0 {
-                        deps.push(fwd_xfer[m][s - 1].expect("transfer built in order"));
-                    }
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: durations[s].0,
-                        },
-                        "fwd",
-                        &deps,
-                        priorities.fwd[m][s],
-                    );
-                    fwd_done[m][s] = id;
-                    if s + 1 < pp {
-                        let x = graph.add(
-                            TaskKind::Transfer {
-                                src: self.device(dp_rank, s),
-                                dst: self.device(dp_rank, s + 1),
-                                bytes: act_bytes,
-                                link: self.stage_link(s, s + 1),
-                            },
-                            "act>",
-                            &[id],
-                        );
-                        fwd_xfer[m][s] = Some(x);
-                    }
-                }
-            }
-            let mut bwd_xfer = vec![vec![None::<TaskId>; pp]; n_ub];
-            for m in 0..n_ub {
-                for s in (0..pp).rev() {
-                    let mut deps = vec![fwd_done[m][s]];
-                    if s + 1 < pp {
-                        deps.push(bwd_xfer[m][s + 1].expect("built in order"));
-                    }
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: durations[s].1,
-                        },
-                        "bwd",
-                        &deps,
-                        priorities.bwd[m][s],
-                    );
-                    last_bwd[self.device(dp_rank, s)].push(id);
-                    if s > 0 {
-                        let x = graph.add(
-                            TaskKind::Transfer {
-                                src: self.device(dp_rank, s),
-                                dst: self.device(dp_rank, s - 1),
-                                bytes: act_bytes,
-                                link: self.stage_link(s, s - 1),
-                            },
-                            "err<",
-                            &[id],
-                        );
-                        bwd_xfer[m][s] = Some(x);
-                    }
-                }
-            }
-        }
-
-        // Gradient all-reduce per stage over the DP group, lowered to exact
-        // ring steps, then the weight update.
-        let grad_prio_base = (2 * n_ub * pp + 16) as u64 * 1000;
-        for s in 0..pp {
-            let stage_weights: f64 = stages[s]
-                .iter()
-                .map(|&k| LayerCounts::for_layer(self.model, k, 1.0).weights)
-                .sum();
-            let grad_bytes =
-                stage_weights / p.tp() as f64 * self.precision.grad_bits as f64 / 8.0;
-
-            let mut final_step: Vec<TaskId> = Vec::new();
-            if self.grad_sync && dp > 1 {
-                final_step = self.add_grad_sync(&mut graph, s, grad_bytes, &last_bwd, grad_prio_base);
-            }
-            let mut ckpt_deps: Vec<TaskId> = last_bwd[self.device(0, s)].clone();
-            ckpt_deps.extend(&final_step);
-            if self.weight_update {
-                for dp_rank in 0..dp {
-                    let mut deps: Vec<TaskId> = last_bwd[self.device(dp_rank, s)].clone();
-                    deps.extend(&final_step);
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: durations[s].2,
-                        },
-                        "wupd",
-                        &deps,
-                        grad_prio_base + 10_000,
-                    );
-                    if dp_rank == 0 {
-                        ckpt_deps = vec![id];
-                    }
-                }
-            }
-            self.add_checkpoint_write(&mut graph, s, &ckpt_deps, grad_prio_base);
-        }
-
-        Ok(graph)
-    }
-
-    /// Append the stage's checkpoint-write task (when checkpoint writes are
-    /// configured): a `"ckpt"` compute task on the stage's dp-rank-0 device
-    /// that blocks the device until the snapshot has drained to storage —
-    /// the synchronous-checkpoint model the Young/Daly analysis assumes.
-    fn add_checkpoint_write(
-        &self,
-        graph: &mut TaskGraph,
-        stage: usize,
-        deps: &[TaskId],
-        grad_prio_base: u64,
-    ) {
-        if let Some(ckpt) = &self.ckpt_stage_s {
-            graph.add_with_priority(
-                TaskKind::Compute {
-                    device: self.device(0, stage),
-                    duration_s: ckpt.get(stage).copied().unwrap_or(0.0),
-                },
-                "ckpt",
-                deps,
-                grad_prio_base + 20_000,
-            );
-        }
-    }
-
-    /// Build the interleaved-schedule task graph: the layer stack is cut
-    /// into `pp × v` contiguous virtual chunks; virtual chunk `c` runs on
-    /// device `c % pp`, so each microbatch loops through the devices `v`
-    /// times. Gradient sync and weight update reuse the stage machinery at
-    /// chunk granularity.
-    fn build_interleaved_graph(&self, global_batch: usize, v: usize) -> Result<TaskGraph> {
-        let p = self.parallelism;
-        let dp = p.dp();
-        let pp = p.pp();
-        let n_ub = p.num_microbatches(global_batch);
-        let ub = p.microbatch_size(global_batch);
-        let mut graph = TaskGraph::new(dp * pp);
-
-        // Cut the stack into pp*v balanced contiguous chunks.
         let stack = self.model.layer_stack();
-        let chunks_total = pp * v;
-        let base = stack.len() / chunks_total;
-        let extra = stack.len() % chunks_total;
-        let mut chunks: Vec<Vec<LayerKind>> = Vec::with_capacity(chunks_total);
-        let mut cursor = 0;
-        for c in 0..chunks_total {
-            let take = base + usize::from(c < extra);
-            chunks.push(stack[cursor..cursor + take].to_vec());
-            cursor += take;
-        }
-        let durations: Vec<(f64, f64, f64)> =
-            chunks.iter().map(|ls| self.stage_durations(ls, ub)).collect();
+        let ranges: Vec<Range<usize>> = even_split(stack.len(), chunks).collect();
+        let durations: Vec<(f64, f64, f64)> = ranges
+            .iter()
+            .map(|r| self.stage_durations(&stack[r.clone()], ub))
+            .collect();
         let act_bytes = ub
             * self.model.seq_len() as f64
             * self.model.hidden_size() as f64
             * self.precision.act_bits as f64
             / 8.0
             / p.tp() as f64;
+        let priorities = self.schedule_priorities(chunks, n_ub);
+        let link = |a: usize, b: usize| self.stage_link(a % pp, b % pp);
 
-        let device_of_chunk = |c: usize| c % pp;
         let mut last_bwd: Vec<Vec<TaskId>> = vec![Vec::new(); dp * pp];
-        for dp_rank in 0..dp {
-            // Forward through all virtual chunks, then backward.
-            let mut fwd_done = vec![vec![0usize; chunks_total]; n_ub];
-            let mut prev_xfer: Vec<Vec<Option<TaskId>>> =
-                vec![vec![None; chunks_total]; n_ub];
+        // fwd_done[m·chunks + c]: microbatch m's forward through chunk c.
+        let mut fwd_done = vec![0; n_ub * chunks];
+        for rank in 0..dp {
+            let device = |c: usize| self.device(rank, c % pp);
             for m in 0..n_ub {
-                for c in 0..chunks_total {
-                    let mut deps: Vec<TaskId> = Vec::new();
-                    if c > 0 {
-                        deps.push(prev_xfer[m][c - 1].expect("built in order"));
-                    }
-                    let dev = self.device(dp_rank, device_of_chunk(c));
+                let mut inbound: Option<TaskId> = None;
+                for c in 0..chunks {
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
-                            device: dev,
+                            device: device(c),
                             duration_s: durations[c].0,
                         },
                         "fwd",
-                        &deps,
-                        (m * chunks_total + c) as u64,
+                        inbound.as_slice(),
+                        priorities.fwd[m * chunks + c],
                     );
-                    fwd_done[m][c] = id;
-                    if c + 1 < chunks_total {
-                        let next_dev = self.device(dp_rank, device_of_chunk(c + 1));
-                        let x = graph.add(
-                            TaskKind::Transfer {
-                                src: dev,
-                                dst: next_dev,
-                                bytes: act_bytes,
-                                link: self
-                                    .stage_link(device_of_chunk(c), device_of_chunk(c + 1)),
-                            },
-                            "act>",
-                            &[id],
-                        );
-                        prev_xfer[m][c] = Some(x);
-                    }
+                    fwd_done[m * chunks + c] = id;
+                    inbound = (c + 1 < chunks).then(|| {
+                        let kind = TaskKind::Transfer {
+                            src: device(c),
+                            dst: device(c + 1),
+                            bytes: act_bytes,
+                            link: link(c, c + 1),
+                        };
+                        graph.add(kind, "act>", &[id])
+                    });
                 }
             }
-            let bwd_base = (n_ub * chunks_total) as u64;
-            let mut bwd_xfer: Vec<Vec<Option<TaskId>>> =
-                vec![vec![None; chunks_total]; n_ub];
             for m in 0..n_ub {
-                for c in (0..chunks_total).rev() {
-                    let mut deps = vec![fwd_done[m][c]];
-                    if c + 1 < chunks_total {
-                        deps.push(bwd_xfer[m][c + 1].expect("built in order"));
-                    }
-                    let dev = self.device(dp_rank, device_of_chunk(c));
+                let mut inbound: Option<TaskId> = None;
+                for c in (0..chunks).rev() {
+                    let deps = [fwd_done[m * chunks + c], inbound.unwrap_or_default()];
                     let id = graph.add_with_priority(
                         TaskKind::Compute {
-                            device: dev,
+                            device: device(c),
                             duration_s: durations[c].1,
                         },
                         "bwd",
-                        &deps,
-                        bwd_base + (m * chunks_total + (chunks_total - 1 - c)) as u64,
+                        &deps[..1 + usize::from(inbound.is_some())],
+                        priorities.bwd[m * chunks + c],
                     );
-                    last_bwd[dev].push(id);
-                    if c > 0 {
-                        let prev_dev = self.device(dp_rank, device_of_chunk(c - 1));
-                        let x = graph.add(
-                            TaskKind::Transfer {
-                                src: dev,
-                                dst: prev_dev,
-                                bytes: act_bytes,
-                                link: self
-                                    .stage_link(device_of_chunk(c), device_of_chunk(c - 1)),
-                            },
-                            "err<",
-                            &[id],
-                        );
-                        bwd_xfer[m][c] = Some(x);
-                    }
+                    last_bwd[device(c)].push(id);
+                    inbound = (c > 0).then(|| {
+                        let kind = TaskKind::Transfer {
+                            src: device(c),
+                            dst: device(c - 1),
+                            bytes: act_bytes,
+                            link: link(c, c - 1),
+                        };
+                        graph.add(kind, "err<", &[id])
+                    });
                 }
             }
         }
 
-        // Gradient sync + weight update per device over its chunks.
-        let grad_prio_base = (2 * n_ub * chunks_total + 16) as u64 * 1000;
+        // Per stage, over its chunks s, s + pp, …: the gradient all-reduce
+        // over the DP group, lowered to exact ring steps, then the weight
+        // update, then the checkpoint write.
+        let grad_prio_base = (2 * n_ub * chunks + 16) as u64 * 1000;
         for s in 0..pp {
-            let device_weights: f64 = chunks
+            let stage_weights: f64 = ranges
                 .iter()
-                .enumerate()
-                .filter(|(c, _)| device_of_chunk(*c) == s)
-                .flat_map(|(_, ls)| ls.iter())
+                .skip(s)
+                .step_by(pp)
+                .flat_map(|r| &stack[r.clone()])
                 .map(|&k| LayerCounts::for_layer(self.model, k, 1.0).weights)
                 .sum();
-            let grad_bytes =
-                device_weights / p.tp() as f64 * self.precision.grad_bits as f64 / 8.0;
-            let mut final_step: Vec<TaskId> = Vec::new();
-            if self.grad_sync && dp > 1 {
-                final_step = self.add_grad_sync(&mut graph, s, grad_bytes, &last_bwd, grad_prio_base);
-            }
-            let mut ckpt_deps: Vec<TaskId> = last_bwd[self.device(0, s)].clone();
-            ckpt_deps.extend(&final_step);
-            if self.weight_update {
-                let wu: f64 = chunks
-                    .iter()
-                    .enumerate()
-                    .filter(|(c, _)| device_of_chunk(*c) == s)
-                    .map(|(c, _)| durations[c].2)
-                    .sum();
-                for dp_rank in 0..dp {
-                    let mut deps: Vec<TaskId> = last_bwd[self.device(dp_rank, s)].clone();
-                    deps.extend(&final_step);
-                    let id = graph.add_with_priority(
-                        TaskKind::Compute {
-                            device: self.device(dp_rank, s),
-                            duration_s: wu,
-                        },
-                        "wupd",
-                        &deps,
-                        grad_prio_base + 10_000,
-                    );
-                    if dp_rank == 0 {
-                        ckpt_deps = vec![id];
-                    }
+            let grad_bytes = stage_weights / p.tp() as f64 * self.precision.grad_bits as f64 / 8.0;
+            let final_step = if self.grad_sync && dp > 1 {
+                self.add_grad_sync(&mut graph, s, grad_bytes, &last_bwd, grad_prio_base)
+            } else {
+                Vec::new()
+            };
+            let update_s: f64 = durations.iter().skip(s).step_by(pp).map(|d| d.2).sum();
+            let mut rank0_update = 0;
+            for rank in 0..dp {
+                let mut deps = std::mem::take(&mut last_bwd[self.device(rank, s)]);
+                deps.extend(&final_step);
+                let id = graph.add_with_priority(
+                    TaskKind::Compute {
+                        device: self.device(rank, s),
+                        duration_s: update_s,
+                    },
+                    "wupd",
+                    &deps,
+                    grad_prio_base + 10_000,
+                );
+                if rank == 0 {
+                    rank0_update = id;
                 }
             }
-            self.add_checkpoint_write(&mut graph, s, &ckpt_deps, grad_prio_base);
+            // The synchronous checkpoint the Young/Daly analysis assumes: a
+            // `"ckpt"` task that blocks the stage's dp-rank-0 device until
+            // the snapshot has drained to storage.
+            if let Some(ckpt) = &self.ckpt_stage_s {
+                graph.add_with_priority(
+                    TaskKind::Compute {
+                        device: self.device(0, s),
+                        duration_s: ckpt.get(s).copied().unwrap_or(0.0),
+                    },
+                    "ckpt",
+                    &[rank0_update],
+                    grad_prio_base + 20_000,
+                );
+            }
         }
 
         Ok(graph)
@@ -1276,35 +1085,48 @@ impl<'a> SimConfig<'a> {
         finals
     }
 
-    /// Per-(microbatch, stage) priorities realizing the schedule.
-    fn schedule_priorities(&self, pp: usize, n_ub: usize) -> SchedulePriorities {
-        let mut fwd = vec![vec![0u64; pp]; n_ub];
-        let mut bwd = vec![vec![0u64; pp]; n_ub];
+    /// Per-(microbatch, chunk) priorities realizing the schedule, indexed
+    /// `m·chunks + c`.
+    fn schedule_priorities(&self, chunks: usize, n_ub: usize) -> SchedulePriorities {
+        let mut fwd = vec![0u64; n_ub * chunks];
+        let mut bwd = vec![0u64; n_ub * chunks];
         match self.schedule {
+            PipelineSchedule::Interleaved { virtual_stages } if virtual_stages > 1 => {
+                // Microbatch-major through the chunks, all forwards first;
+                // backwards walk the chunks in reverse.
+                for m in 0..n_ub {
+                    for c in 0..chunks {
+                        fwd[m * chunks + c] = (m * chunks + c) as u64;
+                        bwd[m * chunks + c] =
+                            (n_ub * chunks + m * chunks + (chunks - 1 - c)) as u64;
+                    }
+                }
+            }
             PipelineSchedule::GPipe | PipelineSchedule::Interleaved { .. } => {
                 // All forwards first (microbatch-major), then all backwards.
-                for (m, (f_row, b_row)) in fwd.iter_mut().zip(bwd.iter_mut()).enumerate() {
-                    for s in 0..pp {
-                        f_row[s] = m as u64;
-                        b_row[s] = (n_ub + m) as u64;
+                for m in 0..n_ub {
+                    for c in 0..chunks {
+                        fwd[m * chunks + c] = m as u64;
+                        bwd[m * chunks + c] = (n_ub + m) as u64;
                     }
                 }
             }
             PipelineSchedule::OneFOneB => {
-                // Per stage: warmup of (pp - s) forwards, then alternate.
-                for s in 0..pp {
-                    let warmup = (pp - s).min(n_ub);
+                // Per stage (one chunk each): warmup of (pp - s) forwards,
+                // then alternate.
+                for s in 0..chunks {
+                    let warmup = (chunks - s).min(n_ub);
                     let mut slot = 0u64;
-                    for row in fwd.iter_mut().take(warmup) {
-                        row[s] = slot;
+                    for m in 0..warmup {
+                        fwd[m * chunks + s] = slot;
                         slot += 1;
                     }
                     let mut next_fwd = warmup;
-                    for row in bwd.iter_mut().take(n_ub) {
-                        row[s] = slot;
+                    for m in 0..n_ub {
+                        bwd[m * chunks + s] = slot;
                         slot += 1;
                         if next_fwd < n_ub {
-                            fwd[next_fwd][s] = slot;
+                            fwd[next_fwd * chunks + s] = slot;
                             slot += 1;
                             next_fwd += 1;
                         }
@@ -1317,8 +1139,8 @@ impl<'a> SimConfig<'a> {
 }
 
 struct SchedulePriorities {
-    fwd: Vec<Vec<u64>>,
-    bwd: Vec<Vec<u64>>,
+    fwd: Vec<u64>,
+    bwd: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -1965,5 +1787,185 @@ mod tests {
             .unwrap()
             .iteration_time;
         assert!(t_inter > t_intra);
+    }
+
+    /// FNV-1a over one 64-bit word, little-endian.
+    fn fnv(h: &mut u64, word: u64) {
+        for b in word.to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Every task's kind (durations and bytes bitwise), label,
+    /// predecessors and priority, in creation order.
+    fn graph_fingerprint(g: &TaskGraph) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (id, t) in g.tasks().iter().enumerate() {
+            match t.kind {
+                TaskKind::Compute { device, duration_s } => {
+                    fnv(&mut h, 0);
+                    fnv(&mut h, device as u64);
+                    fnv(&mut h, duration_s.to_bits());
+                }
+                TaskKind::Transfer { src, dst, bytes, link } => {
+                    fnv(&mut h, 1);
+                    fnv(&mut h, src as u64);
+                    fnv(&mut h, dst as u64);
+                    fnv(&mut h, bytes.to_bits());
+                    fnv(&mut h, link as u64);
+                }
+            }
+            for b in t.label.bytes() {
+                fnv(&mut h, u64::from(b));
+            }
+            fnv(&mut h, g.preds(id).len() as u64);
+            for &d in g.preds(id) {
+                fnv(&mut h, d as u64);
+            }
+            fnv(&mut h, t.priority);
+        }
+        h
+    }
+
+    /// The bits of the iteration time, the link volumes and every
+    /// device's stats.
+    fn result_fingerprint(r: &SimResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for x in [r.iteration_time, r.intra_bytes, r.inter_bytes] {
+            fnv(&mut h, x.to_bits());
+        }
+        for d in &r.device_stats {
+            for x in [d.compute_busy_s, d.comm_busy_s, d.last_finish_s] {
+                fnv(&mut h, x.to_bits());
+            }
+        }
+        h
+    }
+
+    /// The DES task graph of every schedule and mapping kind, and what it
+    /// simulates to, pinned task for task and bit for bit.
+    #[test]
+    fn task_graphs_and_results_are_pinned() {
+        let a = v100();
+        let link = |intra_bw, inter_bw| (Link::new(5e-6, intra_bw), Link::new(1e-5, inter_bw));
+        let sys = |nodes, per_node| {
+            let (intra, inter) = link(2.4e12, 1e11);
+            SystemSpec::new(nodes, per_node, intra, inter, per_node).unwrap()
+        };
+        let map = |tp: (usize, usize), pp: (usize, usize), dp: (usize, usize), n_ub: usize| {
+            Parallelism::builder()
+                .tp(tp.0, tp.1)
+                .pp(pp.0, pp.1)
+                .dp(dp.0, dp.1)
+                .microbatches(MicrobatchPolicy::Explicit(n_ub))
+                .build()
+                .unwrap()
+        };
+        let moe = TransformerModel::builder("moe-sim")
+            .layers(8)
+            .hidden_size(512)
+            .heads(8)
+            .seq_len(128)
+            .vocab_size(1000)
+            .moe(amped_core::MoeConfig::glam(4))
+            .build()
+            .unwrap();
+        let (m12, m16) = (mingpt(), mingpt16());
+        let interleaved = |v| PipelineSchedule::Interleaved { virtual_stages: v };
+        let gpipe = PipelineSchedule::GPipe;
+        let one_f = PipelineSchedule::OneFOneB;
+
+        struct Case<'a> {
+            name: &'static str,
+            model: &'a TransformerModel,
+            system: SystemSpec,
+            mapping: Parallelism,
+            schedule: PipelineSchedule,
+            batch: usize,
+        }
+        let case = |name, model, system, mapping, schedule, batch| Case {
+            name,
+            model,
+            system,
+            mapping,
+            schedule,
+            batch,
+        };
+        #[rustfmt::skip]
+        let cases = [
+            case("gpipe pp4", &m16, sys(1, 4), map((1, 1), (4, 1), (1, 1), 8), gpipe, 16),
+            case("gpipe pp8 uneven", &m12, sys(1, 8), map((1, 1), (8, 1), (1, 1), 8), gpipe, 16),
+            case("1f1b pp4", &m16, sys(1, 4), map((1, 1), (4, 1), (1, 1), 8), one_f, 16),
+            case("1f1b pp4 few ub", &m16, sys(1, 4), map((1, 1), (4, 1), (1, 1), 2), one_f, 8),
+            case("1f1b pp2x2 dp2", &m16, sys(4, 2), map((1, 1), (2, 2), (1, 2), 4), one_f, 16),
+            case("interleaved v1", &m16, sys(1, 4), map((1, 1), (4, 1), (1, 1), 8), interleaved(1), 16),
+            case("interleaved v2 dp2", &m16, sys(1, 8), map((1, 1), (4, 1), (2, 1), 8), interleaved(2), 32),
+            case("interleaved v2 uneven", &m12, sys(1, 4), map((1, 1), (4, 1), (1, 1), 4), interleaved(2), 16),
+            case("interleaved v4", &m16, sys(1, 4), map((1, 1), (4, 1), (1, 1), 8), interleaved(4), 16),
+            case("hierarchical dp", &m12, sys(2, 4), map((1, 1), (2, 1), (2, 2), 4), gpipe, 32),
+            case("tp intra+inter", &m16, sys(2, 4), map((2, 2), (2, 1), (1, 1), 4), gpipe, 16),
+            case("moe head pp2", &moe, sys(4, 2), map((2, 1), (1, 2), (1, 2), 4), gpipe, 32),
+        ];
+        // (name, tasks, graph fingerprint, result fingerprint)
+        #[rustfmt::skip]
+        let pinned: [(&str, usize, u64, u64); 15] = [
+            ("gpipe pp4", 116, 0x30fc_eb6e_ea12_5c31, 0x8b69_3506_1ff9_ac8b),
+            ("gpipe pp8 uneven", 248, 0xd8d7_fd58_321b_3ad5, 0xa680_2527_f8df_12ef),
+            ("1f1b pp4", 116, 0x53a6_ab79_bc66_0281, 0x5eb6_d757_514e_64d7),
+            ("1f1b pp4 few ub", 32, 0x0869_718b_0271_28cd, 0x9ef6_cb77_60ae_d717),
+            ("1f1b pp2x2 dp2", 136, 0x4195_ea2c_1821_3f5d, 0x87bd_4188_7156_0680),
+            ("interleaved v1", 116, 0x30fc_eb6e_ea12_5c31, 0x8b69_3506_1ff9_ac8b),
+            ("interleaved v2 dp2", 504, 0xe0b6_41ea_093a_4586, 0xa911_a908_7032_e53c),
+            ("interleaved v2 uneven", 124, 0x6e40_c934_0ae4_3565, 0xb582_5485_dc7d_8bca),
+            ("interleaved v4", 500, 0x5a9f_430f_4f23_3f45, 0xb327_b877_5d5a_344a),
+            ("hierarchical dp", 136, 0xdba8_e167_b764_1a5d, 0xee16_39b7_8ab2_7edf),
+            ("tp intra+inter", 26, 0x06b6_f1a0_97bd_59b4, 0x1006_0140_3815_a38a),
+            ("moe head pp2", 60, 0xa5e8_3e2c_2f85_de79, 0xb641_a5b1_8638_beee),
+            ("checkpoint writes", 62, 0xdd03_a44e_e51b_2d89, 0xc394_ba4a_43f1_5faf),
+            ("interleaved v2 checkpoint", 126, 0x48a8_591e_3a5c_f939, 0xdbc1_d13a_464c_675d),
+            ("straggler", 248, 0x7513_9d43_ce20_1305, 0x6235_a3ce_4035_5947),
+        ];
+
+        let mut got: Vec<(&str, usize, u64, u64)> = Vec::new();
+        let mut record = |name, cfg: &SimConfig, batch| {
+            let graph = cfg.build_graph(batch).unwrap();
+            let result = cfg.simulate_iteration(batch).unwrap();
+            got.push((
+                name,
+                graph.len(),
+                graph_fingerprint(&graph),
+                result_fingerprint(&result),
+            ));
+        };
+        for c in &cases {
+            let cfg = SimConfig::new(c.model, &a, &c.system, &c.mapping).with_schedule(c.schedule);
+            record(c.name, &cfg, c.batch);
+        }
+        let ckpt_sys = sys(1, 4);
+        let ckpt_map = map((1, 1), (2, 1), (2, 1), 4);
+        let cfg = SimConfig::new(&m12, &a, &ckpt_sys, &ckpt_map);
+        let ckpt_s = cfg.checkpoint_stage_seconds(16, 2e9);
+        record(
+            "checkpoint writes",
+            &cfg.clone().with_checkpoint_writes(ckpt_s.clone()),
+            16,
+        );
+        let cfg = cfg
+            .with_schedule(interleaved(2))
+            .with_checkpoint_writes(ckpt_s);
+        record("interleaved v2 checkpoint", &cfg, 16);
+        let straggler_sys = sys(1, 8);
+        let straggler_map = map((1, 1), (4, 1), (2, 1), 8);
+        let plan = crate::fault::FaultPlan::seeded(3).with_straggler(5, 1.7);
+        let cfg = SimConfig::new(&m16, &a, &straggler_sys, &straggler_map)
+            .with_fault_schedule(plan.materialize(8));
+        record("straggler", &cfg, 32);
+
+        let table: String = got
+            .iter()
+            .map(|(n, t, g, r)| format!("(\"{n}\", {t}, {g:#018x}, {r:#018x}),\n"))
+            .collect();
+        assert_eq!(got, pinned, "actual:\n{table}");
     }
 }

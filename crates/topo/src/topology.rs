@@ -111,18 +111,6 @@ impl Topology {
             (_, Collective::PointToPoint) => CollectiveCost::new(1.0, 1),
         }
     }
-
-    /// The paper's all-reduce topology factor `T` (Eq. 6/11): payload
-    /// crossings per participant.
-    pub fn allreduce_factor(self, n: usize) -> f64 {
-        self.cost(Collective::AllReduce, n).factor
-    }
-
-    /// The paper's all-to-all topology factor `T_MoE` (Eq. 9), which equals
-    /// `(N−1)/N` in the default pairwise-exchange case.
-    pub fn alltoall_factor(self, n: usize) -> f64 {
-        self.cost(Collective::AllToAll, n).factor
-    }
 }
 
 impl Default for Topology {

@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> results identity (DES-backed experiments rewrite results/ byte-identically)"
+# exp_fig1, exp_fig2a, exp_fig2b and exp_table3 run the discrete-event
+# simulator; a change to any simulated number shows up as a diff in the
+# files they rewrite under results/.
+for bin in exp_fig1 exp_fig2a exp_fig2b exp_table3; do
+    cargo run -q --release -p amped-bench --bin "$bin" > /dev/null
+done
+git diff --exit-code --stat -- results/ \
+    || { echo "results identity failed: regenerated results/ differ from the committed files"; exit 1; }
+echo "results identity ok"
+
 echo "==> fault-injection smoke (seeded failures must not beat the fault-free time)"
 # A seeded replay with stragglers + a tiny MTBF: it must inject real
 # failures, and the wall time must never undercut the fault-free run.
